@@ -1,10 +1,10 @@
 """A look inside the two filter schedules.
 
 The transmitter side runs a Kalman filter on noisy measurements
-gamma(t) = c x(t) + d v(t); the receiver side runs a one-step predictor on
-channel outputs.  This script prints both gain schedules for a sensor with
-real noise, then sets d = 0 and shows the whole filtered pipeline collapse
-onto the direct state-transmission scheme.
+gamma(t) = c x(t) + d v(t); the receiver side runs the exact two-state
+recursion on the channel outputs.  This script prints both schedules for a
+sensor with real noise, then sets d = 0 and shows the whole filtered pipeline
+collapse onto the direct state-transmission scheme.
 """
 
 import numpy as np
@@ -14,7 +14,7 @@ from statecast import (
     SchemeKind,
     SystemParams,
     analytic_mse,
-    decoder_schedule,
+    coupled_decoder_schedule,
     state_variance,
     transmitter_gain_schedule,
 )
@@ -31,12 +31,12 @@ for t in range(T + 1):
     print(f"  {t}   {g.L[t]:<13.6f}   {g.sigma_breve_sq[t]:<13.6f}   "
           f"{g.filtered_error_var[t]:.6f}")
 
-# the receiver treats the filtered estimate as the source; beta(t) is the
-# standard deviation of its innovation step
-ds = decoder_schedule(g.sigma_breve_sq, channel, noisy, g.beta**2)
-print("\n  t   encoder scale K   decoder MSE R(t)")
+# the receiver decodes the scaled estimate; its error is about the plant
+# state, so it includes the transmitter's own filtering error
+ds = coupled_decoder_schedule(noisy, channel, g)
+print("\n  t   encoder scale K   decoder MSE")
 for i in range(T):
-    print(f"  {i + 1}   {ds.K[i]:<15.6f}   {ds.R[i]:.6f}")
+    print(f"  {i + 1}   {ds.K[i]:<15.6f}   {ds.mse[i]:.6f}")
 
 print("\nnow silence the sensor (d = 0): the filter repeats the state and")
 print("the filtered pipeline reduces to transmitting x(t) directly\n")

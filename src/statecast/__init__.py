@@ -12,17 +12,13 @@ from .baseline import (
     objective_gradient_G,
     optimal_F_given_G,
     project_power,
-    shift_matrix,
 )
 from .cli import ExperimentConfig, main, parse_config
 from .kalman import (
     CoupledDecoderSchedule,
-    DecoderSchedule,
     GainSchedule,
     coupled_decoder_filter,
     coupled_decoder_schedule,
-    decoder_filter,
-    decoder_schedule,
     power_scale,
     transmitter_filter,
     transmitter_gain_schedule,
@@ -31,11 +27,9 @@ from .model import (
     ChannelParams,
     RngSeed,
     SystemParams,
-    Trajectory,
     draw_noise,
     mean_trajectory,
     paths_from_noise,
-    simulate_plant,
     state_variance,
 )
 from .scheme import (
@@ -43,7 +37,6 @@ from .scheme import (
     SchemeKind,
     SchemeSamples,
     analytic_mse,
-    encode_full_state,
     encode_noisy_state,
     monte_carlo_mse,
     sample_paths,
@@ -54,7 +47,6 @@ __all__ = [
     "CausalOperator",
     "ChannelParams",
     "CoupledDecoderSchedule",
-    "DecoderSchedule",
     "ExperimentConfig",
     "GainSchedule",
     "RngSeed",
@@ -62,16 +54,12 @@ __all__ = [
     "SchemeKind",
     "SchemeSamples",
     "SystemParams",
-    "Trajectory",
     "alternating_optimize",
     "analytic_mse",
     "build_H",
     "coupled_decoder_filter",
     "coupled_decoder_schedule",
-    "decoder_filter",
-    "decoder_schedule",
     "draw_noise",
-    "encode_full_state",
     "encode_noisy_state",
     "main",
     "mean_trajectory",
@@ -84,8 +72,6 @@ __all__ = [
     "power_scale",
     "project_power",
     "sample_paths",
-    "shift_matrix",
-    "simulate_plant",
     "state_variance",
     "transmitter_filter",
     "transmitter_gain_schedule",

@@ -80,11 +80,6 @@ def _entries(op):
     return np.asarray(op, dtype=float)
 
 
-def shift_matrix(T):
-    """Subdiagonal shift S: (S v)(1) = 0 and (S v)(t) = v(t-1)."""
-    return np.diag(np.ones(T - 1), k=-1) if T > 1 else np.zeros((1, 1))
-
-
 def _shift_cols(F):
     # Right-multiplication by the shift: (F S)[:, j] = F[:, j + 1].
     FS = np.zeros_like(F)

@@ -17,7 +17,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -88,6 +88,7 @@ class ExperimentConfig:
 
 
 def _field_value(section, key, value, horizon):
+    # json accepts NaN and Infinity; they are config errors, not numerical failures
     name = f"{section}.{key}"
     if isinstance(value, (list, tuple)):
         if len(value) != horizon:
@@ -97,9 +98,13 @@ def _field_value(section, key, value, horizon):
             if not isinstance(entry, (int, float)) or isinstance(entry, bool):
                 raise ConfigError(name, "array entries must be numbers")
             vals.append(float(entry))
+        if not all(map(math.isfinite, vals)):
+            raise ConfigError(name, "array entries must be finite")
         return vals
     if not isinstance(value, (int, float)) or isinstance(value, bool):
         raise ConfigError(name, "must be a number or an array of numbers")
+    if not math.isfinite(value):
+        raise ConfigError(name, "must be finite")
     return float(value)
 
 
@@ -335,19 +340,8 @@ def run_compare(config):
 
 
 def _swept_config(config, field, value):
-    if field == "a":
-        system = dict(config.system)
-        system["a"] = value
-        return ExperimentConfig(horizon=config.horizon, system=system,
-                                channel=config.channel, scheme=config.scheme,
-                                samples=config.samples, seed=config.seed,
-                                baseline=config.baseline)
-    channel = dict(config.channel)
-    channel[field] = value
-    return ExperimentConfig(horizon=config.horizon, system=config.system,
-                            channel=channel, scheme=config.scheme,
-                            samples=config.samples, seed=config.seed,
-                            baseline=config.baseline)
+    section = "system" if field == "a" else "channel"
+    return replace(config, **{section: {**getattr(config, section), field: value}})
 
 
 def run_sweep(config):
@@ -399,10 +393,7 @@ def _apply_overrides(config, args):
         if args.restarts < 1:
             raise ConfigError("baseline.restarts", "must be an integer >= 1")
         baseline["restarts"] = args.restarts
-    return ExperimentConfig(horizon=config.horizon, system=config.system,
-                            channel=config.channel, scheme=config.scheme,
-                            samples=samples, seed=seed, baseline=baseline,
-                            sweep=config.sweep)
+    return replace(config, samples=samples, seed=seed, baseline=baseline)
 
 
 def main(argv=None):

@@ -45,6 +45,11 @@ def _as_readonly(arr):
     return out
 
 
+def _require_finite(value, name):
+    if not np.all(np.isfinite(value)):
+        raise ValueError(f"{name} must be finite")
+
+
 def _broadcast(value, length, name):
     arr = np.asarray(value, dtype=float)
     if arr.ndim == 0:
@@ -118,20 +123,24 @@ class SystemParams:
             V = np.concatenate([V, V[-1:]], axis=0)
         if V.shape != (T + 1, 2, 2):
             raise ValueError(f"V has shape {V.shape}, expected ({T} or {T + 1}, 2, 2)")
-        for t in range(T + 1):
-            block = V[t]
-            if abs(block[0, 1] - block[1, 0]) > 1e-12 * max(1.0, abs(block[0, 1])):
-                raise ValueError(f"V[{t}] is not symmetric")
-            det = block[0, 0] * block[1, 1] - block[0, 1] * block[1, 0]
-            if block[0, 0] < 0 or block[1, 1] < 0 or det < -1e-12 * max(1.0, block[0, 0] * block[1, 1]):
-                raise ValueError(f"V[{t}] is not positive semidefinite")
+        x0 = float(self.x0)
+        for name, arr in (("a", a), ("b", b), ("c", c), ("d", d), ("V", V), ("x0", x0)):
+            _require_finite(arr, name)
+        ww, wv, vw, vv = V[:, 0, 0], V[:, 0, 1], V[:, 1, 0], V[:, 1, 1]
+        asym = np.abs(wv - vw) > 1e-12 * np.maximum(1.0, np.abs(wv))
+        det = ww * vv - wv * vw
+        bad = asym | (ww < 0) | (vv < 0) | (det < -1e-12 * np.maximum(1.0, ww * vv))
+        if bad.any():
+            t = int(np.argmax(bad))
+            kind = "symmetric" if asym[t] else "positive semidefinite"
+            raise ValueError(f"V[{t}] is not {kind}")
 
         object.__setattr__(self, "a", _as_readonly(a))
         object.__setattr__(self, "b", _as_readonly(b))
         object.__setattr__(self, "c", _as_readonly(c))
         object.__setattr__(self, "d", _as_readonly(d))
         object.__setattr__(self, "V", _as_readonly(V))
-        object.__setattr__(self, "x0", float(self.x0))
+        object.__setattr__(self, "x0", x0)
 
     @property
     def horizon(self):
@@ -179,6 +188,8 @@ class ChannelParams:
         N = np.atleast_1d(np.asarray(self.N, dtype=float))
         if P.size != N.size:
             raise ValueError("P and N must have the same length")
+        _require_finite(P, "P(t)")
+        _require_finite(N, "N(t)")
         if np.any(P <= 0):
             raise ValueError("P(t) must be positive for all t")
         if np.any(N <= 0):
@@ -193,34 +204,6 @@ class ChannelParams:
     @classmethod
     def make(cls, T, P, N):
         return cls(P=_broadcast(P, T, "P"), N=_broadcast(N, T, "N"))
-
-
-@dataclass(frozen=True)
-class Trajectory:
-    """One realisation of the plant/channel pipeline.
-
-    ``x`` has T+1 entries (times 0 .. T); ``gamma`` has T+1 entries
-    (times 0 .. T); ``z`` and ``xhat`` have T entries where element i is the
-    value at time i+1; ``y`` has T entries where element i is y(i) and
-    y[0] == 0.  Fields not produced yet are None.
-    """
-
-    x: np.ndarray
-    gamma: np.ndarray
-    z: np.ndarray = None
-    y: np.ndarray = None
-    xhat: np.ndarray = None
-
-    def __post_init__(self):
-        T = self.x.size - 1
-        if self.gamma is not None and self.gamma.size != T + 1:
-            raise ValueError("gamma must have T+1 entries")
-        for name in ("z", "y", "xhat"):
-            field = getattr(self, name)
-            if field is not None and field.size != T:
-                raise ValueError(f"{name} must have T entries")
-        if self.y is not None and self.y[0] != 0.0:
-            raise ValueError("y(0) must be 0")
 
 
 def mean_trajectory(params):
@@ -293,11 +276,3 @@ def paths_from_noise(params, w, v):
         x[:, t + 1] = params.a[t] * x[:, t] + params.b[t] * w[:, t]
     gamma = params.c * x + params.d * v
     return x, gamma
-
-
-def simulate_plant(params, seed):
-    """Simulate one trajectory; populates the x and gamma fields."""
-    seed = _coerce_seed(seed)
-    w, v = draw_noise(params, 1, seed.stream(ROLE_PROCESS), seed.stream(ROLE_MEASUREMENT))
-    x, gamma = paths_from_noise(params, w, v)
-    return Trajectory(x=x[0], gamma=gamma[0])

@@ -9,6 +9,11 @@ output):
 * NoisyState — the transmitter only sees gamma(t) = c x(t) + d v(t), runs the
   recursive MMSE filter, and transmits its estimate xbreve(t) the same way.
 
+FullState is NoisyState with a noiseless sensor (c = 1, d = 0, V_vv = V_wv =
+0): the filter then returns the state itself.  Both schemes therefore run one
+pipeline — transmitter filter, power scaling, exact two-state decoder — and
+differ only in the parameters handed to it.
+
 Known means are handled deterministically: encoders scale deviations from the
 mean path and decoders add the mean back, so the power budget is spent
 entirely on the random part.  With x0 = 0 (the usual setting) this coincides
@@ -18,7 +23,7 @@ with scaling the raw state.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -31,7 +36,6 @@ from .model import (
     draw_noise,
     mean_trajectory,
     paths_from_noise,
-    state_variance,
 )
 
 
@@ -62,14 +66,14 @@ class RunResult:
 class SchemeSamples:
     """Raw per-sample arrays from one Monte Carlo pipeline run.
 
-    Shapes: x and gamma are (samples, T+1); xbreve is (samples, T+1) for the
-    NoisyState scheme and None otherwise; z, y, xhat are (samples, T) with
-    y[:, 0] = 0 and column i of z / xhat at time t = i+1.
+    Shapes: x, gamma and xbreve are (samples, T+1); z, y, xhat are
+    (samples, T) with y[:, 0] = 0 and column i of z / xhat at time t = i+1.
+    FullState runs behind a noiseless sensor, so its gamma and xbreve equal x.
     """
 
     x: np.ndarray
     gamma: np.ndarray
-    xbreve: np.ndarray | None
+    xbreve: np.ndarray
     z: np.ndarray
     y: np.ndarray
     xhat: np.ndarray
@@ -81,25 +85,13 @@ def _coerce_kind(kind):
     return SchemeKind(kind)
 
 
-def _scalar_chain_ok(params):
-    # The transmitter-estimate chain is first order with independent
-    # innovations only when process and observation noise are uncorrelated.
-    return bool(np.all(params.V[:, 0, 1] == 0.0))
-
-
-def encode_full_state(params, channel, x):
-    """z(t) = sqrt(P(t))/sigma_t * x(t) (deviation form), t = 1 .. T.
-
-    ``x`` has shape (..., T+1); returns shape (..., T).  Steps with
-    sigma_t = 0 transmit zero.
-    """
-    x = np.asarray(x, dtype=float)
-    T = params.horizon
-    if x.shape[-1] != T + 1:
-        raise ValueError(f"x must have {T + 1} entries, got {x.shape[-1]}")
-    k = kalman.power_scale(state_variance(params), channel)
-    xbar = mean_trajectory(params)
-    return k * (x[..., 1:] - xbar[1:])
+def _scheme_params(kind, params):
+    # FullState is the filtered scheme behind a noiseless sensor gamma = x.
+    if _coerce_kind(kind) is SchemeKind.NOISY_STATE:
+        return params
+    V = params.V.copy()
+    V[:, 0, 1] = V[:, 1, 0] = V[:, 1, 1] = 0.0
+    return replace(params, c=1.0, d=0.0, V=V)
 
 
 def encode_noisy_state(params, channel, gamma):
@@ -107,7 +99,8 @@ def encode_noisy_state(params, channel, gamma):
 
     Returns (z, xbreve): z(t) = sqrt(P(t))/sigma_t * xbreve(t) with
     sigma_t^2 = E xbreve(t)^2, and xbreve the transmitter-filter output
-    (shape (..., T+1)).
+    (shape (..., T+1)).  Behind a noiseless sensor (c = 1, d = 0) xbreve is
+    the state itself and this is the FullState encoder.
     """
     gains = kalman.transmitter_gain_schedule(params)
     xbreve = kalman.transmitter_filter(params, gains, gamma)
@@ -119,38 +112,20 @@ def encode_noisy_state(params, channel, gamma):
 def analytic_mse(kind, params, channel):
     """Exact per-step estimation error of the scheme; no sampling.
 
-    FullState: R(t) from the decoder recursion driven by the state variance
-    schedule.  NoisyState: the transmitter's filtering error plus the
-    decoder's error on the estimate chain — computed by the scalar
-    decomposition when process and observation noise are uncorrelated, and by
-    the exact coupled recursion otherwise.
+    Runs the transmitter gain schedule and the exact two-state decoder
+    schedule; FullState runs them behind a noiseless sensor.
     """
-    kind = _coerce_kind(kind)
-    T = params.horizon
-    ww = params.V[:, 0, 0]
-    if kind is SchemeKind.FULL_STATE:
-        sigma_sq = state_variance(params)
-        schedule = kalman.decoder_schedule(
-            sigma_sq, channel, params, params.b**2 * ww[:T])
-        mse = schedule.R
-        live = sigma_sq[1:] > 0
-    else:
-        gains = kalman.transmitter_gain_schedule(params)
-        if _scalar_chain_ok(params):
-            schedule = kalman.decoder_schedule(
-                gains.sigma_breve_sq, channel, params, gains.beta**2)
-            mse = schedule.R + gains.filtered_error_var[1:]
-        else:
-            mse = kalman.coupled_decoder_schedule(params, channel, gains).mse
-        live = gains.sigma_breve_sq[1:] > 0
-    power = np.where(live, channel.P, 0.0)
+    params = _scheme_params(kind, params)
+    gains = kalman.transmitter_gain_schedule(params)
+    mse = kalman.coupled_decoder_schedule(params, channel, gains).mse
+    power = np.where(gains.sigma_breve_sq[1:] > 0, channel.P, 0.0)
     return RunResult(mse_analytic=mse, avg_mse_analytic=float(np.mean(mse)),
                      power_used=power)
 
 
 def sample_paths(kind, params, channel, samples, seed):
     """Run the full pipeline (simulate, encode, channel, decode) per sample."""
-    kind = _coerce_kind(kind)
+    params = _scheme_params(kind, params)
     if samples < 1:
         raise ValueError("samples must be >= 1")
     seed = _coerce_seed(seed)
@@ -159,31 +134,17 @@ def sample_paths(kind, params, channel, samples, seed):
     w, v = draw_noise(params, samples,
                       seed.stream(ROLE_PROCESS), seed.stream(ROLE_MEASUREMENT))
     x, gamma = paths_from_noise(params, w, v)
-
-    if kind is SchemeKind.FULL_STATE:
-        z = encode_full_state(params, channel, x)
-        xbreve = None
-    else:
-        z, xbreve = encode_noisy_state(params, channel, gamma)
+    del w, v  # each (samples, T+1) array is freed before the filters allocate
+    z, xbreve = encode_noisy_state(params, channel, gamma)
 
     n = seed.stream(ROLE_CHANNEL).standard_normal((samples, T)) * np.sqrt(channel.N)
     y = np.zeros_like(z)
-    y[:, 1:] = (z + n)[:, :T - 1]
+    y[:, 1:] = z[:, :T - 1]
+    y[:, 1:] += n[:, :T - 1]
+    del n
 
-    if kind is SchemeKind.FULL_STATE:
-        schedule = kalman.decoder_schedule(
-            state_variance(params), channel, params,
-            params.b**2 * params.V[:T, 0, 0])
-        xhat = kalman.decoder_filter(schedule, params, y)
-    else:
-        gains = kalman.transmitter_gain_schedule(params)
-        if _scalar_chain_ok(params):
-            schedule = kalman.decoder_schedule(
-                gains.sigma_breve_sq, channel, params, gains.beta**2)
-            xhat = kalman.decoder_filter(schedule, params, y)
-        else:
-            schedule = kalman.coupled_decoder_schedule(params, channel, gains)
-            xhat = kalman.coupled_decoder_filter(schedule, params, y)
+    schedule = kalman.coupled_decoder_schedule(params, channel)
+    xhat = kalman.coupled_decoder_filter(schedule, params, y)
     return SchemeSamples(x=x, gamma=gamma, xbreve=xbreve, z=z, y=y, xhat=xhat)
 
 

@@ -13,6 +13,7 @@ demos/certify_small_horizons.py.  The thresholds here are kept as written
 on purpose rather than widened to make the suite green.
 """
 
+import dataclasses
 import json
 import time
 
@@ -26,9 +27,8 @@ from statecast import (
     alternating_optimize,
     analytic_mse,
     build_H,
+    coupled_decoder_filter,
     coupled_decoder_schedule,
-    decoder_filter,
-    decoder_schedule,
     draw_noise,
     main,
     mean_trajectory,
@@ -173,19 +173,22 @@ def test_criterion_04_filters_match_batch_conditioning(capsys):
             worst = max(worst, float(np.abs(cd.K - k_ref).max()),
                         float(np.abs(cd.mse - mse_ref).max()))
         else:
-            # scalar receiver recursion + filter vs dense conditioning
-            ds = decoder_schedule(state_variance(params), channel, params,
-                                  params.b**2 * params.V[:T, 0, 0])
+            # receiver recursion + filter on the state itself (the filtered
+            # scheme behind a noiseless sensor) vs dense conditioning
+            V = params.V.copy()
+            V[:, 0, 1] = V[:, 1, 0] = V[:, 1, 1] = 0.0
+            direct = dataclasses.replace(params, c=1.0, d=0.0, V=V)
+            cd = coupled_decoder_schedule(direct, channel)
             k_ref, yrows, coef_rows = decoder_estimate_rows(
                 params, channel, xrows, Sigma)
             nch = RngSeed(seed).stream(2).standard_normal((6, T)) \
                 * np.sqrt(channel.N)
-            z = ds.K * (x[:, 1:] - xbar[1:])
+            z = cd.K * (x[:, 1:] - xbar[1:])
             y = np.zeros((6, T))
             y[:, 1:] = (z + nch)[:, :T - 1]
-            got = decoder_filter(ds, params, y)
+            got = coupled_decoder_filter(cd, direct, y)
             want = xbar[1:] + y[:, 1:] @ coef_rows[:, :T - 1].T
-            worst = max(worst, float(np.abs(ds.K - k_ref).max()),
+            worst = max(worst, float(np.abs(cd.K - k_ref).max()),
                         float(np.abs(got - want).max()))
     ok = worst <= 1e-10
     _report(capsys, 4, ok,

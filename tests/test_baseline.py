@@ -10,13 +10,12 @@ from statecast import (
     alternating_optimize,
     analytic_mse,
     build_H,
-    decoder_filter,
-    decoder_schedule,
+    coupled_decoder_filter,
+    coupled_decoder_schedule,
     mse_objective,
     objective_gradient_G,
     optimal_F_given_G,
     paths_from_noise,
-    power_scale,
     project_power,
     state_variance,
 )
@@ -26,17 +25,20 @@ NOISY = SchemeKind.NOISY_STATE
 
 
 def _closed_form_point(params, channel):
-    """Closed-form encoder/decoder pair as dense operators (V_ww = 1)."""
+    """Closed-form encoder/decoder pair as dense operators (V_ww = 1).
+
+    ``params`` has the default noiseless sensor, so the filtered scheme's
+    schedule is the FullState one.
+    """
     T = params.horizon
     H = build_H(params).entries
-    sig = state_variance(params)
-    G = np.diag(power_scale(sig, channel))
-    ds = decoder_schedule(sig, channel, params, params.b**2 * params.V[:T, 0, 0])
+    ds = coupled_decoder_schedule(params, channel)
+    G = np.diag(ds.K)
     F = np.zeros((T, T))
     for j in range(1, T):
         y = np.zeros(T)
         y[j] = 1.0
-        F[:, j] = decoder_filter(ds, params, y)
+        F[:, j] = coupled_decoder_filter(ds, params, y)
     return G, F, H
 
 

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -155,6 +156,17 @@ def test_negative_overrides_rejected(tmp_path, capsys):
     (lambda d: d["system"].update(a=[0.9, 0.9, 0.9]), "system.a"),
     (lambda d: d.update(baseline={"tol": 0.0}), "baseline.tol"),
     (lambda d: d.update(sweep={"field": "b", "values": [1]}), "sweep.field"),
+    # json reads NaN and Infinity; they must not reach the numerics
+    pytest.param(lambda d: d["channel"].update(P=math.nan), "channel.P",
+                 id="nan-channel.P"),
+    pytest.param(lambda d: d["system"].update(V_ww=math.nan), "system.V_ww",
+                 id="nan-system.V_ww"),
+    pytest.param(lambda d: d["channel"].update(N=math.inf), "channel.N",
+                 id="inf-channel.N"),
+    pytest.param(lambda d: d["system"].update(a=math.inf), "system.a",
+                 id="inf-system.a"),
+    pytest.param(lambda d: d["system"].update(a=[0.9, -math.inf]), "system.a",
+                 id="inf-entry-system.a"),
 ])
 def test_config_errors_name_the_field(tmp_path, capsys, mangle, field):
     data = json.loads(json.dumps(BASE))

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -8,8 +10,6 @@ from statecast import (
     SystemParams,
     coupled_decoder_filter,
     coupled_decoder_schedule,
-    decoder_filter,
-    decoder_schedule,
     draw_noise,
     mean_trajectory,
     paths_from_noise,
@@ -19,7 +19,12 @@ from statecast import (
     transmitter_gain_schedule,
 )
 
-from oracles import decoder_reference, plant_basis, transmitter_reference
+from oracles import (
+    decoder_estimate_rows,
+    decoder_reference,
+    plant_basis,
+    transmitter_reference,
+)
 
 
 def _random_params(rng, T, correlated=False, x0_random=False):
@@ -37,6 +42,14 @@ def _random_params(rng, T, correlated=False, x0_random=False):
     x0 = float(rng.uniform(-2.0, 2.0)) if x0_random else 0.0
     return SystemParams.make(T, a=a, b=b, c=c, d=d, V_ww=ww, V_vv=vv,
                              V_wv=wv, x0=x0)
+
+
+def _direct(params):
+    """The same plant behind a noiseless sensor gamma = x: the filtered
+    scheme then transmits the state itself."""
+    V = params.V.copy()
+    V[:, 0, 1] = V[:, 1, 0] = V[:, 1, 1] = 0.0
+    return dataclasses.replace(params, c=1.0, d=0.0, V=V)
 
 
 def test_gain_schedule_worked_example():
@@ -108,39 +121,31 @@ def test_transmitter_filter_batch_shape():
 
 
 def test_decoder_schedule_worked_example():
-    # a=b=1, V_ww=1, P=N: Q(1) = 1/2 and R(2) = 3/2
+    # a=b=1, V_ww=1, P=N: Q(1) = 1/2 and R(2) = a^2 Q(1) + 1 = 3/2
     params = SystemParams.make(2, a=1.0, b=1.0, V_ww=1.0)
     channel = ChannelParams.make(2, P=1.0, N=1.0)
-    sig = state_variance(params)
-    ds = decoder_schedule(sig, channel, params, params.b**2 * params.V[:2, 0, 0])
-    assert_allclose(ds.R[0], 1.0, atol=0)
-    assert_allclose(ds.Q[0], 0.5, atol=1e-15)
-    assert_allclose(ds.R[1], 1.5, atol=1e-15)
+    ds = coupled_decoder_schedule(params, channel)
+    assert_allclose(ds.K, [1.0, 1.0 / np.sqrt(2.0)], atol=1e-15)
+    assert_allclose(ds.mse[0], 1.0, atol=0)
+    assert_allclose(ds.mse[1], 1.5, atol=1e-15)
 
 
 def test_decoder_schedule_monotone_information():
-    # conditioning on one more sample never hurts: Q(t) <= R(t), equal iff k=0
+    # conditioning on channel outputs never hurts: the decoder error equals
+    # Var x(1) before any output has arrived and drops strictly below
+    # Var x(t) once live samples have
     rng = np.random.default_rng(3)
     for _ in range(5):
         T = int(rng.integers(1, 9))
         params = _random_params(rng, T)
         channel = ChannelParams.make(T, P=float(rng.uniform(0.5, 3.0)),
                                      N=float(rng.uniform(0.3, 3.0)))
-        sig = state_variance(params)
-        ds = decoder_schedule(sig, channel, params,
-                              params.b**2 * params.V[:T, 0, 0])
-        assert np.all(ds.Q <= ds.R + 1e-15)
-        tight = ds.K == 0.0
-        assert_allclose(ds.Q[tight], ds.R[tight], rtol=0, atol=0)
-        assert np.all(ds.Q[~tight] < ds.R[~tight])
-
-
-def test_decoder_schedule_rejects_negative_variances():
-    params = SystemParams.make(2, a=1.0)
-    channel = ChannelParams.make(2, P=1.0, N=1.0)
-    with pytest.raises(ValueError):
-        decoder_schedule(np.array([0.0, -1.0, 1.0]), channel, params,
-                         np.ones(2))
+        prior = state_variance(params)[1:]
+        for p in (params, _direct(params)):
+            ds = coupled_decoder_schedule(p, channel)
+            assert ds.mse[0] == prior[0]
+            assert np.all(ds.K > 0)
+            assert np.all(ds.mse[1:] < prior[1:])
 
 
 def test_decoder_filter_matches_batch_conditioning():
@@ -154,11 +159,11 @@ def test_decoder_filter_matches_batch_conditioning():
         xrows, _, Sigma, _ = plant_basis(params)
         k_ref, mse_ref = decoder_reference(params, channel, xrows, Sigma)
 
-        sig = state_variance(params)
-        ds = decoder_schedule(sig, channel, params,
-                              params.b**2 * params.V[:T, 0, 0])
+        # transmit the state itself: the filtered scheme behind a noiseless sensor
+        direct = _direct(params)
+        ds = coupled_decoder_schedule(direct, channel)
         assert_allclose(ds.K, k_ref, atol=1e-12)
-        assert_allclose(ds.R, mse_ref, atol=1e-10)
+        assert_allclose(ds.mse, mse_ref, atol=1e-10)
 
         # run the filter on sampled paths and compare against conditioning
         w, v = draw_noise(params, 5, RngSeed(seed).stream(0), RngSeed(seed).stream(1))
@@ -168,9 +173,8 @@ def test_decoder_filter_matches_batch_conditioning():
         z = ds.K * (x[:, 1:] - xbar[1:])
         y = np.zeros((5, T))
         y[:, 1:] = (z + n)[:, :T - 1]
-        got = decoder_filter(ds, params, y)
+        got = coupled_decoder_filter(ds, direct, y)
 
-        from oracles import decoder_estimate_rows
         _, _, coef_rows = decoder_estimate_rows(params, channel, xrows, Sigma)
         want = xbar[1:] + y[:, 1:] @ coef_rows[:, :T - 1].T
         assert_allclose(got, want, atol=1e-10)
@@ -187,27 +191,28 @@ def test_estimate_chain_reduction_to_plant():
     assert_allclose(g.filtered_error_var, np.zeros(6), atol=0)
 
 
-def test_coupled_decoder_matches_scalar_when_uncorrelated():
-    # dual route: augmented recursion vs scalar decomposition at V_wv = 0
-    params = SystemParams.make(4, a=0.9, b=1.0, c=1.0, d=1.0,
-                               V_ww=1.0, V_vv=1.0, V_wv=0.0)
-    channel = ChannelParams.make(4, P=1.0, N=0.5)
-    gains = transmitter_gain_schedule(params)
-    scalar = decoder_schedule(gains.sigma_breve_sq, channel, params,
-                              gains.beta**2)
-    coupled = coupled_decoder_schedule(params, channel, gains)
-    assert_allclose(coupled.K, scalar.K, atol=1e-14)
-    assert_allclose(coupled.mse,
-                    scalar.R + gains.filtered_error_var[1:], atol=1e-12)
-
-
 def test_coupled_decoder_matches_batch_conditioning_when_correlated():
+    cases = []
     for seed in (21, 22, 23):
         rng = np.random.default_rng(seed)
         T = int(rng.integers(2, 8))
-        params = _random_params(rng, T, correlated=True)
-        channel = ChannelParams.make(T, P=1.0, N=0.7)
+        cases.append((_random_params(rng, T, correlated=True),
+                      ChannelParams.make(T, P=1.0, N=0.7)))
+    # uncorrelated noise, and noiseless sensors (direct state transmission),
+    # one with a silent b=0 step and |a| > 1
+    cases.append((SystemParams.make(4, a=0.9, b=1.0, c=1.0, d=1.0, V_ww=1.0,
+                                    V_vv=1.0, V_wv=0.0),
+                  ChannelParams.make(4, P=1.0, N=0.5)))
+    rng = np.random.default_rng(24)
+    uncorrelated = _random_params(rng, 6, x0_random=True)
+    channel = ChannelParams.make(6, P=rng.uniform(0.5, 2.0, 6),
+                                 N=rng.uniform(0.3, 2.0, 6))
+    cases += [(uncorrelated, channel), (_direct(uncorrelated), channel)]
+    cases.append((SystemParams.make(5, a=[0.5, 1.3, -1.1, 0.9, 1.2],
+                                    b=[1.0, 0.0, 2.0, 1.5, 0.7], V_ww=0.8),
+                  ChannelParams.make(5, P=[1.0, 2.0, 0.5, 1.0, 1.5], N=0.6)))
 
+    for params, channel in cases:
         gains = transmitter_gain_schedule(params)
         _, _, xb_rows = transmitter_reference(params)
         _, _, Sigma, _ = plant_basis(params)
@@ -229,6 +234,11 @@ def test_coupled_filter_runs_batches():
     assert out.shape == (7, 3)
     # first estimate uses no data: it is the (zero) mean of x(1)
     assert_allclose(out[:, 0], np.zeros(7), atol=0)
+    # horizons must agree
+    with pytest.raises(ValueError):
+        coupled_decoder_schedule(params, ChannelParams.make(1, P=1.0, N=0.5))
+    with pytest.raises(ValueError):
+        coupled_decoder_filter(schedule, params, y[:, :2])
 
 
 def test_power_scale_conventions():

@@ -6,11 +6,9 @@ from statecast import (
     ChannelParams,
     RngSeed,
     SystemParams,
-    Trajectory,
     draw_noise,
     mean_trajectory,
     paths_from_noise,
-    simulate_plant,
     state_variance,
 )
 
@@ -70,6 +68,15 @@ def test_system_params_validation():
         ChannelParams.make(2, P=0.0, N=1.0)
     with pytest.raises(ValueError):
         ChannelParams.make(2, P=1.0, N=[1.0, -1.0])
+    # NaN passes every ordering check, so non-finite values need their own
+    for bad in (dict(a=[1.0, np.inf, 1.0]), dict(a=1.0, b=np.nan),
+                dict(a=1.0, V_ww=np.nan), dict(a=1.0, d=-np.inf),
+                dict(a=1.0, x0=np.nan)):
+        with pytest.raises(ValueError, match="finite"):
+            SystemParams.make(3, **bad)
+    for P, N in ((np.nan, 1.0), (np.inf, 1.0), (1.0, np.inf), (1.0, [1.0, np.nan])):
+        with pytest.raises(ValueError, match="finite"):
+            ChannelParams.make(2, P=P, N=N)
 
 
 def test_params_arrays_are_read_only():
@@ -78,29 +85,23 @@ def test_params_arrays_are_read_only():
         params.a[0] = 1.0
 
 
-def test_trajectory_shape_validation():
-    x = np.zeros(4)
-    with pytest.raises(ValueError):
-        Trajectory(x=x, gamma=np.zeros(3))
-    y = np.zeros(3)
-    y[0] = 1.0
-    with pytest.raises(ValueError, match="y\\(0\\)"):
-        Trajectory(x=x, gamma=np.zeros(4), y=y)
-
-
 def test_mean_trajectory_propagates_x0():
     params = SystemParams.make(3, a=0.5, b=2.0, x0=8.0)
     assert_allclose(mean_trajectory(params), [8.0, 4.0, 2.0, 1.0])
 
 
-def test_simulate_plant_deterministic_per_seed():
+def test_paths_deterministic_per_seed():
     params = SystemParams.make(5, a=0.9, c=1.0, d=1.0, V_vv=0.5)
-    t1 = simulate_plant(params, 123)
-    t2 = simulate_plant(params, 123)
-    t3 = simulate_plant(params, 124)
-    assert_allclose(t1.x, t2.x, rtol=0, atol=0)
-    assert_allclose(t1.gamma, t2.gamma, rtol=0, atol=0)
-    assert np.any(t1.x != t3.x)
+
+    def paths(seed):
+        seed = RngSeed(seed)
+        return paths_from_noise(params, *draw_noise(params, 1, seed.stream(0),
+                                                    seed.stream(1)))
+
+    (x1, g1), (x2, g2), (x3, _) = paths(123), paths(123), paths(124)
+    assert_allclose(x1, x2, rtol=0, atol=0)
+    assert_allclose(g1, g2, rtol=0, atol=0)
+    assert np.any(x1 != x3)
 
 
 def test_role_streams_are_independent():

@@ -8,11 +8,12 @@ from statecast import (
     SchemeKind,
     SystemParams,
     analytic_mse,
-    encode_full_state,
+    draw_noise,
     encode_noisy_state,
     monte_carlo_mse,
+    paths_from_noise,
+    power_scale,
     sample_paths,
-    simulate_plant,
     state_variance,
     transmitter_gain_schedule,
 )
@@ -21,10 +22,20 @@ FULL = SchemeKind.FULL_STATE
 NOISY = SchemeKind.NOISY_STATE
 
 
+def _one_path(params, seed):
+    """(x, gamma) of one simulated plant path."""
+    seed = RngSeed(seed)
+    x, gamma = paths_from_noise(params, *draw_noise(params, 1, seed.stream(0),
+                                                    seed.stream(1)))
+    return x[0], gamma[0]
+
+
+# SystemParams.make defaults to a noiseless sensor (c=1, d=0, V_vv=0): there
+# gamma = x and encode_noisy_state is the FullState encoder.
 def test_encode_full_state_zero_state():
     params = SystemParams.make(3, a=1.0)
     channel = ChannelParams.make(3, P=1.0, N=1.0)
-    assert_allclose(encode_full_state(params, channel, np.zeros(4)),
+    assert_allclose(encode_noisy_state(params, channel, np.zeros(4))[0],
                     np.zeros(3), rtol=0, atol=0)
 
 
@@ -33,7 +44,7 @@ def test_encode_full_state_unit_variance():
     params = SystemParams.make(3, a=0.0, b=1.0, V_ww=1.0)
     channel = ChannelParams.make(3, P=4.0, N=1.0)
     x = np.array([0.0, 1.0, -2.0, 0.5])
-    assert_allclose(encode_full_state(params, channel, x),
+    assert_allclose(encode_noisy_state(params, channel, x)[0],
                     2.0 * x[1:], rtol=0, atol=0)
 
 
@@ -41,7 +52,7 @@ def test_encode_full_state_uses_variance_schedule():
     params = SystemParams.make(3, a=0.5, b=2.0)
     channel = ChannelParams.make(3, P=1.0, N=1.0)
     x = np.array([0.0, 1.0, 1.0, 1.0])
-    z = encode_full_state(params, channel, x)
+    z = encode_noisy_state(params, channel, x)[0]
     # sigma_2^2 = 5 from the variance schedule example
     assert_allclose(z[1], 1.0 / np.sqrt(5.0), atol=1e-15)
 
@@ -50,8 +61,8 @@ def test_encode_noisy_state_uninformative_observation():
     # c = 0: the filter learns nothing and the transmitter stays silent
     params = SystemParams.make(3, a=1.0, c=0.0, d=1.0, V_vv=1.0)
     channel = ChannelParams.make(3, P=1.0, N=1.0)
-    traj = simulate_plant(params, 4)
-    z, xbreve = encode_noisy_state(params, channel, traj.gamma)
+    _, gamma = _one_path(params, 4)
+    z, xbreve = encode_noisy_state(params, channel, gamma)
     assert_allclose(z, np.zeros(3), rtol=0, atol=0)
     assert_allclose(xbreve, np.zeros(4), rtol=0, atol=0)
 
@@ -59,10 +70,10 @@ def test_encode_noisy_state_uninformative_observation():
 def test_encode_noisy_state_reduces_to_full_state():
     params = SystemParams.make(4, a=0.9, b=1.2, c=1.0, d=0.0, V_ww=1.0)
     channel = ChannelParams.make(4, P=1.0, N=0.5)
-    traj = simulate_plant(params, 8)
-    z_noisy, xbreve = encode_noisy_state(params, channel, traj.gamma)
-    z_full = encode_full_state(params, channel, traj.x)
-    assert_allclose(xbreve, traj.x, atol=1e-12)
+    x, gamma = _one_path(params, 8)
+    z_noisy, xbreve = encode_noisy_state(params, channel, gamma)
+    z_full = power_scale(state_variance(params), channel) * x[1:]
+    assert_allclose(xbreve, x, atol=1e-12)
     assert_allclose(z_noisy, z_full, atol=1e-12)
 
 
@@ -74,8 +85,8 @@ def test_encode_noisy_state_first_step_scale():
     g = transmitter_gain_schedule(params)
     assert_allclose(g.sigma_breve_sq[1], 0.5, atol=1e-15)
     assert_allclose(g.beta[0]**2, 0.5, atol=1e-15)
-    traj = simulate_plant(params, 1)
-    z, xbreve = encode_noisy_state(params, channel, traj.gamma)
+    _, gamma = _one_path(params, 1)
+    z, xbreve = encode_noisy_state(params, channel, gamma)
     assert_allclose(z[0], xbreve[1] / np.sqrt(0.5), atol=1e-14)
 
 
@@ -206,8 +217,8 @@ def test_full_state_encoder_is_memoryless():
     channel = ChannelParams.make(4, P=1.0, N=1.0)
     x1 = np.array([0.0, 1.0, -3.0, 2.0, 1.0])
     x2 = np.array([0.0, -2.0, 5.0, 2.0, 1.0])  # same x(3), different history
-    z1 = encode_full_state(params, channel, x1)
-    z2 = encode_full_state(params, channel, x2)
+    z1 = encode_noisy_state(params, channel, x1)[0]
+    z2 = encode_noisy_state(params, channel, x2)[0]
     assert z1[2] == z2[2]
     assert z1[3] == z2[3]
     assert z1[0] != z2[0]
