@@ -1,10 +1,12 @@
 """A look inside the two filter schedules.
 
 The transmitter side runs a Kalman filter on noisy measurements
-gamma(t) = c x(t) + d v(t); the receiver side runs the exact two-state
-recursion on the channel outputs.  This script prints both schedules for a
-sensor with real noise, then sets d = 0 and shows the whole filtered pipeline
-collapse onto the direct state-transmission scheme.
+gamma(t) = c x(t) + d v(t); the receiver side runs an exact scalar Kalman
+filter on the channel outputs that estimates the transmitter's one-step
+predictor, and adds the transmitter's own prediction error to its MSE.  This
+script prints both schedules for a sensor with real noise, then sets d = 0
+and shows the whole filtered pipeline collapse onto the direct
+state-transmission scheme.
 """
 
 import numpy as np

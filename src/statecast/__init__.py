@@ -8,10 +8,6 @@ from .baseline import (
     CausalOperator,
     alternating_optimize,
     build_H,
-    mse_objective,
-    objective_gradient_G,
-    optimal_F_given_G,
-    project_power,
 )
 from .cli import ExperimentConfig, main, parse_config
 from .kalman import (
@@ -64,13 +60,9 @@ __all__ = [
     "main",
     "mean_trajectory",
     "monte_carlo_mse",
-    "mse_objective",
-    "objective_gradient_G",
-    "optimal_F_given_G",
     "parse_config",
     "paths_from_noise",
     "power_scale",
-    "project_power",
     "sample_paths",
     "state_variance",
     "transmitter_filter",

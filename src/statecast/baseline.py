@@ -90,12 +90,6 @@ class BaselineResult:
     converged: bool
 
 
-def _entries(op):
-    if isinstance(op, CausalOperator):
-        return op.entries
-    return np.asarray(op, dtype=float)
-
-
 def _shift_cols(F):
     # Right-multiplication by the shift: (F S)[:, j] = F[:, j + 1].
     FS = np.zeros_like(F)
@@ -171,18 +165,8 @@ class _Formulation:
         F[:, 1:] = D[:-1].T
         return F
 
-    def gradient_G(self, G, F):
-        grad_U = self.loss(G @ self.Hin, _shift_cols(F).T)[1]
-        return (grad_U @ self.Hin.T) * self.mask
-
     def row_power(self, G):
         return np.sum((G @ self.Hin) ** 2, axis=1)
-
-    def project(self, G):
-        power = self.row_power(G)
-        live = power > 0
-        scale = np.where(live, np.minimum(1.0, np.sqrt(self.P / np.where(live, power, 1.0))), 1.0)
-        return G * scale[:, None]
 
 
 def _full_state_formulation(params, channel):
@@ -208,49 +192,6 @@ def _noisy_state_formulation(params, channel):
         Hgam[s, T + s] += params.d[s] * l22[s]
     mask = np.tril(np.ones((T, T)), k=1)
     return _Formulation(Hx=Hx, Hin=Hgam, mask=mask, N=channel.N, P=channel.P)
-
-
-def _problem1_formulation(G, F, H, N):
-    H = _entries(H)
-    T = H.shape[0]
-    G, F = _entries(G), _entries(F)
-    if G.shape != (T, T) or F.shape != (T, T):
-        raise ValueError("operator dimensions disagree")
-    N = np.broadcast_to(np.asarray(N, dtype=float), (T,))
-    form = _Formulation(Hx=H, Hin=H, mask=np.tril(np.ones((T, T))),
-                        N=N, P=np.ones(T))
-    return form, G, F
-
-
-def mse_objective(G, F, H, N):
-    """Average MSE (1/T)(||H - F S G H||_F^2 + ||F S diag(sqrt N)||_F^2)."""
-    form, G, F = _problem1_formulation(G, F, H, N)
-    return float(form.objective(G, F))
-
-
-def optimal_F_given_G(G, H, N):
-    """Exact decoder for a fixed encoder: row-wise MMSE regression."""
-    form, G, _ = _problem1_formulation(G, np.zeros_like(_entries(H)), H, N)
-    return CausalOperator(form.optimal_F(G))
-
-
-def project_power(G, H, P):
-    """Scale each encoder row onto its power budget (no-op when feasible)."""
-    H = _entries(H)
-    T = H.shape[0]
-    P = np.broadcast_to(np.asarray(P, dtype=float), (T,))
-    form = _Formulation(Hx=H, Hin=H, mask=np.tril(np.ones((T, T))),
-                        N=np.ones(T), P=P)
-    G_arr = _entries(G)
-    projected = form.project(G_arr)
-    band = G.band if isinstance(G, CausalOperator) else 0
-    return CausalOperator(projected, band=band)
-
-
-def objective_gradient_G(G, F, H, N):
-    """Gradient of mse_objective in the free (lower-triangular) entries of G."""
-    form, G, F = _problem1_formulation(G, F, H, N)
-    return form.gradient_G(G, F)
 
 
 class _Spheres:

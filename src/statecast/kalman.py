@@ -7,11 +7,16 @@ predictor also absorbs what the current innovation says about the pending
 process noise w(t); with V_wv = 0 the recursions reduce to the familiar
 textbook form.
 
-Receiver side: one exact two-state recursion estimates the plant state from
-the delayed channel outputs y(0) .. y(t-1).  It tracks (x(t), p(t)) jointly,
-where p(t) is the transmitter's one-step predictor, so it stays exact for any
-V_wv.  Direct state transmission is the same scheme behind a noiseless sensor
-(c = 1, d = 0), so this one recursion serves every case.
+Receiver side: one exact scalar recursion estimates the plant state from the
+delayed channel outputs y(0) .. y(t-1).  The transmitter's prediction error
+xi(t) = x(t) - p(t), with p(t) its one-step predictor, is orthogonal to
+everything it has seen, and so to y(0) .. y(t-1); hence xhat(t) =
+E{p(t) | y^{t-1}} and the error is Vxi(t) plus the error of a scalar Kalman
+filter on p.  That filter sees y(t) = k p(t) + (k L i(t) + n(t)) while p
+moves by J i(t): the innovation i(t) drives both noises, so it stays exact
+for any V_wv.  Direct state transmission is the same scheme behind a
+noiseless sensor (c = 1, d = 0), so this one recursion serves every case.
+The ``coupled_*`` names are kept as the stable public surface.
 
 The schedule loops run on Python floats read from and written to float64
 arrays; the sample-path filters run time-major, one contiguous row per step.
@@ -55,15 +60,15 @@ class CoupledDecoderSchedule:
     """Exact receiver schedule.
 
     Entry i of ``K`` and ``mse`` is time t = i+1: the encoder scale factor
-    and E (x(t) - xhat(t))^2.  Row t-1 of ``coef`` holds the sample filter's
-    step t = 1 .. T-1 on the centered estimate s = (x, p):
-    s(t+1) = [[m00, m01], [m10, m11]] s(t) + (g0, g1) y(t), stored as
-    (m00, m01, m10, m11, g0, g1).
+    and E (x(t) - xhat(t))^2.  The receiver keeps one scalar state, its
+    centered estimate s(t) of the transmitter's predictor p(t), and
+    xhat(t) is the mean path plus s(t).  Row t-1 of ``coef`` holds the sample
+    filter's step t = 1 .. T-1, s(t+1) = m s(t) + g y(t), stored as (m, g).
     """
 
     K: np.ndarray      # encoder scale factors, t = 1 .. T
     mse: np.ndarray    # exact per-step estimation error, t = 1 .. T
-    coef: np.ndarray   # (T-1, 6) per-step filter coefficients
+    coef: np.ndarray   # (T-1, 2) per-step filter coefficients
 
 
 def power_scale(sigma_sq, channel):
@@ -163,60 +168,36 @@ def coupled_decoder_schedule(params, channel, gains=None):
         raise ValueError(f"channel has horizon {channel.horizon}, expected {T}")
     if gains is None:
         gains = transmitter_gain_schedule(params)
-    a, b, c, d = (memoryview(arr) for arr in (params.a, params.b, params.c, params.d))
-    ww, wv, vv = _noise_views(params)
-    L, J = memoryview(gains.L), memoryview(gains.pred_gain)
+    L, J, vi, Vxi = (memoryview(arr) for arr in
+                     (gains.L, gains.pred_gain, gains.innovation_var, gains.Vxi))
 
     K = power_scale(gains.sigma_breve_sq, channel)
     mse = np.empty(T)
-    coef = np.empty((T - 1, 6))
+    coef = np.empty((T - 1, 2))
     out, step = memoryview(mse), memoryview(coef.reshape(-1))
 
-    # Cov of (x(1), p(1)): the exogenous noise (b w(0), J(0) d v(0)); no
-    # channel output has arrived yet.
-    b0, jd = b[0], J[0] * d[0]
-    s00 = b0 * b0 * ww[0]
-    s01 = b0 * jd * wv[0]
-    s11 = jd * jd * vv[0]
-    out[0] = s00
-    i = 0
-    steps = zip(range(1, T), memoryview(K)[:T - 1], a[1:], b[1:], L[1:T], J[1:],
-                c[1:T], d[1:T], ww[1:T], wv[1:T], vv[1:T], memoryview(channel.N)[:T - 1])
-    for t, kt, at, bt, lt, jt, ct, dt, wwt, wvt, vvt, nt in steps:
-        lc, jc, jd = lt * ct, jt * ct, jt * dt
-        # received sample y(t) = kt * xbreve(t) + n(t) with
-        # xbreve = L c x + (1 - L c) p + L d v: observation row (c0, c1) and
-        # observation-noise gain gv on v(t)
-        c0, c1, gv = kt * lc, kt * (1.0 - lc), kt * lt * dt
-        # transition [[a, 0], [J c, e]]; process noise (b w(t), J d v(t))
-        e = at - jc
-        sc0 = s00 * c0 + s01 * c1
-        sc1 = s01 * c0 + s11 * c1
-        S = c0 * sc0 + c1 * sc1 + gv * gv * vvt + nt
-        g0 = (at * sc0 + bt * gv * wvt) / S
-        g1 = (jc * sc0 + e * sc1 + jd * gv * vvt) / S
-        # Joseph form: s(t+1) - shat(t+1) = M (s - shat) + (process noise
-        # - gain * observation noise) with M = transition - gain * row; a sum
-        # of covariances, so no cancellation at high SNR.
-        m00, m01, m10, m11 = at - g0 * c0, -g0 * c1, jc - g1 * c0, e - g1 * c1
-        r00, r01 = m00 * s00 + m01 * s01, m00 * s01 + m01 * s11
-        r10, r11 = m10 * s00 + m11 * s01, m10 * s01 + m11 * s11
-        q, h = g0 * gv, jd - g1 * gv
-        s00, s01, s11 = (
-            r00 * m00 + r01 * m01
-            + bt * bt * wwt - 2.0 * bt * q * wvt + q * q * vvt + g0 * g0 * nt,
-            r00 * m10 + r01 * m11 + h * (bt * wvt - q * vvt) + g0 * g1 * nt,
-            r10 * m10 + r11 * m11 + h * h * vvt + g1 * g1 * nt,
-        )
-        out[t] = s00
-        step[i], step[i + 1], step[i + 2] = m00, m01, m10
-        step[i + 3], step[i + 4], step[i + 5] = m11, g0, g1
-        i += 6
+    # error variance of the estimate of p(1) = J(0) i(0); no channel output
+    # has arrived yet
+    r = J[0] * J[0] * vi[0]
+    out[0] = Vxi[1] + r
+    steps = zip(range(1, T), memoryview(K), memoryview(params.a)[1:], L[1:], J[1:],
+                vi[1:], Vxi[2:], memoryview(channel.N))
+    for t, kt, at, lt, jt, vt, xt, nt in steps:
+        # y(t) = k p(t) + (k L i(t) + n(t)); p(t+1) = a p(t) + J i(t)
+        kl = kt * lt
+        S = kt * kt * r + kl * kl * vt + nt
+        g = (at * kt * r + jt * kl * vt) / S
+        # Joseph form: p(t+1) - phat(t+1) = m (p - phat) + h i(t) - g n(t), a
+        # sum of variances, so no cancellation at high SNR
+        m, h = at - g * kt, jt - g * kl
+        r = m * m * r + h * h * vt + g * g * nt
+        out[t] = xt + r
+        step[2 * t - 2], step[2 * t - 1] = m, g
     return CoupledDecoderSchedule(K=K, mse=mse, coef=coef)
 
 
 def coupled_decoder_filter(schedule, params, y):
-    """Run the exact two-state decoder on one or many received paths.
+    """Run the exact decoder on one or many received paths.
 
     ``y`` has shape (..., T) with y[..., 0] == 0; returns xhat of the same
     shape, where element i estimates x(i+1) from y(0) .. y(i).
@@ -229,11 +210,10 @@ def coupled_decoder_filter(schedule, params, y):
     rows = np.ascontiguousarray(np.moveaxis(y, -1, 0))  # time-major
 
     xhat = np.empty(rows.shape)
-    s0 = s1 = np.zeros(rows.shape[1:])  # centered estimate of (x(t), p(t))
-    xhat[0] = xbar[1] + s0
+    s = np.zeros(rows.shape[1:])  # centered estimate of the predictor p(t+1)
+    xhat[0] = xbar[1] + s
     for t in range(1, T):
-        m00, m01, m10, m11, g0, g1 = schedule.coef[t - 1]
-        yt = rows[t]
-        s0, s1 = m00 * s0 + m01 * s1 + g0 * yt, m10 * s0 + m11 * s1 + g1 * yt
-        xhat[t] = xbar[t + 1] + s0
+        m, g = schedule.coef[t - 1]
+        s = m * s + g * rows[t]
+        xhat[t] = xbar[t + 1] + s
     return np.moveaxis(xhat, 0, -1)

@@ -11,8 +11,9 @@ output):
 
 FullState is NoisyState with a noiseless sensor (c = 1, d = 0, V_vv = V_wv =
 0): the filter then returns the state itself.  Both schemes therefore run one
-pipeline — transmitter filter, power scaling, exact two-state decoder — and
-differ only in the parameters handed to it.
+pipeline — transmitter filter, power scaling, exact decoder — and differ only
+in the parameters handed to it.  The decoder keeps one scalar state, its
+estimate of the transmitter's one-step predictor (``kalman``).
 
 Known means are handled deterministically: encoders scale deviations from the
 mean path and decoders add the mean back, so the power budget is spent
@@ -112,8 +113,8 @@ def encode_noisy_state(params, channel, gamma):
 def analytic_mse(kind, params, channel):
     """Exact per-step estimation error of the scheme; no sampling.
 
-    Runs the transmitter gain schedule and the exact two-state decoder
-    schedule; FullState runs them behind a noiseless sensor.
+    Runs the transmitter gain schedule and the exact decoder schedule;
+    FullState runs them behind a noiseless sensor.
     """
     params = _scheme_params(kind, params)
     gains = kalman.transmitter_gain_schedule(params)

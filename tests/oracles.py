@@ -6,7 +6,12 @@ are represented as linear maps over the raw per-step noise vector
 blockwise, and conditional expectations come from one dense Gaussian
 conditioning formula.  No recursion from the package is reused, so agreement
 with the package's schedules and filters is meaningful evidence.
+``decimal_receiver_mse`` is the one recursion here: the textbook two-state
+Kalman filter in high-precision decimal arithmetic, a reference for the
+digits double precision can lose at high SNR.
 """
+
+import decimal
 
 import numpy as np
 
@@ -218,3 +223,76 @@ def full_state_three_step_optimum(params, channel):
     G[0, 0] = np.sqrt(P[0] / M[0, 0])
     G[1, :2] = g
     return linear_scheme_mse(params, channel, G, 0)[0], G
+
+
+def decimal_receiver_mse(params, channel, digits=60):
+    """Receiver MSE of the filtered scheme, computed in ``digits``-digit
+    decimal arithmetic by the standard-form covariance recursion.
+
+    The transmitter runs the one-step predictor p(t+1) = a p(t) + J i(t) on
+    its innovations i(t) = c (x - p) + d v(t) and sends
+    z(t) = k(t) (p(t) + L(t) i(t)), with k(t) = sqrt(P(t) / Var z-source).
+    The receiver tracks the pair (x(t), p(t)) given y(1..t-1) with a Kalman
+    filter whose process and observation noises are correlated, updating
+    the error covariance as A Sigma A' + Q - g g' S.  Direct state
+    transmission is the same scheme behind a noiseless sensor (c = 1, d = 0).
+    Returns the per-step MSE of x(t), t = 1..T, as floats.
+    """
+    T = params.horizon
+    with decimal.localcontext() as ctx:
+        ctx.prec = digits
+        D = decimal.Decimal
+        zero = D(0)
+
+        def col(arr):
+            return [D(float(v)) for v in arr]
+
+        a, b, c, d = col(params.a), col(params.b), col(params.c), col(params.d)
+        ww, wv, vv = col(params.V[:, 0, 0]), col(params.V[:, 0, 1]), col(params.V[:, 1, 1])
+        P, N = col(channel.P), col(channel.N)
+
+        # transmitter: prediction error Vxi, innovation variance, gains L and
+        # J, and the variance of the sent estimate, from Var x minus the
+        # filtering error
+        Vxi, var_x = [zero], [zero]
+        L, J, vi, sent = [], [], [], []
+        for t in range(T + 1):
+            v_i = c[t] * c[t] * Vxi[t] + d[t] * d[t] * vv[t]
+            gl = c[t] * Vxi[t] / v_i if v_i else zero
+            L.append(gl)
+            vi.append(v_i)
+            sent.append(var_x[t] - (Vxi[t] - gl * c[t] * Vxi[t]))
+            if t == T:
+                break
+            gj = (a[t] * c[t] * Vxi[t] + b[t] * d[t] * wv[t]) / v_i if v_i else zero
+            J.append(gj)
+            Vxi.append(a[t] * a[t] * Vxi[t] + b[t] * b[t] * ww[t] - gj * gj * v_i)
+            var_x.append(a[t] * a[t] * var_x[t] + b[t] * b[t] * ww[t])
+        k = [(P[t - 1] / sent[t]).sqrt() if sent[t] > 0 else zero
+             for t in range(T + 1)]
+
+        # receiver: error covariance of (x(t), p(t)) given y(1..t-1)
+        s00 = b[0] * b[0] * ww[0]
+        s01 = b[0] * J[0] * d[0] * wv[0]
+        s11 = J[0] * J[0] * d[0] * d[0] * vv[0]
+        mse = [s00]
+        for t in range(1, T):
+            # y(t) = h0 x + h1 p + e v(t) + n(t)
+            h0, h1, e = k[t] * L[t] * c[t], k[t] * (1 - L[t] * c[t]), k[t] * L[t] * d[t]
+            # x(t+1) = a x + b w;  p(t+1) = J c x + (a - J c) p + J d v
+            A = ((a[t], zero), (J[t] * c[t], a[t] - J[t] * c[t]))
+            q00 = b[t] * b[t] * ww[t]
+            q01 = b[t] * J[t] * d[t] * wv[t]
+            q11 = J[t] * J[t] * d[t] * d[t] * vv[t]
+            cross = (b[t] * e * wv[t], J[t] * d[t] * e * vv[t])
+            Sh = (s00 * h0 + s01 * h1, s01 * h0 + s11 * h1)
+            S = h0 * Sh[0] + h1 * Sh[1] + e * e * vv[t] + N[t - 1]
+            g = [(A[r][0] * Sh[0] + A[r][1] * Sh[1] + cross[r]) / S for r in (0, 1)]
+            Sig = ((s00, s01), (s01, s11))
+            ASA = [[sum(A[r][i] * Sig[i][j] * A[q][j] for i in (0, 1) for j in (0, 1))
+                    for q in (0, 1)] for r in (0, 1)]
+            s00 = ASA[0][0] + q00 - g[0] * g[0] * S
+            s01 = ASA[0][1] + q01 - g[0] * g[1] * S
+            s11 = ASA[1][1] + q11 - g[1] * g[1] * S
+            mse.append(s00)
+        return np.array([float(m) for m in mse])

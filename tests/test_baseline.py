@@ -12,13 +12,10 @@ from statecast import (
     build_H,
     coupled_decoder_filter,
     coupled_decoder_schedule,
-    mse_objective,
-    objective_gradient_G,
-    optimal_F_given_G,
     paths_from_noise,
-    project_power,
     state_variance,
 )
+from statecast.baseline import _Formulation, _full_state_formulation, _shift_cols
 
 FULL = SchemeKind.FULL_STATE
 NOISY = SchemeKind.NOISY_STATE
@@ -40,6 +37,21 @@ def _closed_form_point(params, channel):
         y[j] = 1.0
         F[:, j] = coupled_decoder_filter(ds, params, y)
     return G, F, H
+
+
+def _form(H, N):
+    """The search's objective chain for the plant x = H u (full state,
+    V_ww = 1, unit power budgets)."""
+    T = H.shape[0]
+    return _Formulation(Hx=H, Hin=H, mask=np.tril(np.ones((T, T))), N=N,
+                        P=np.ones(T))
+
+
+def _gradient_G(form, G, F):
+    """Objective gradient in the causal entries of G: the search's gradient
+    in U = G Hin, at the decoder weights of F, mapped back to G."""
+    grad_U = form.loss(G @ form.Hin, _shift_cols(F).T)[1]
+    return (grad_U @ form.Hin.T) * form.mask
 
 
 def test_build_H_toeplitz_example():
@@ -77,34 +89,30 @@ def test_causal_operator_validation():
 
 def test_mse_objective_silent_system():
     params = SystemParams.make(3, a=0.5, b=2.0)
-    H = build_H(params)
-    want = np.sum(H.entries**2) / 3.0
+    H = build_H(params).entries
+    form = _form(H, np.ones(3))
+    want = np.sum(H**2) / 3.0
     zero = np.zeros((3, 3))
-    assert_allclose(mse_objective(zero, zero, H, np.ones(3)), want, atol=1e-15)
+    assert_allclose(form.objective(zero, zero), want, atol=1e-15)
     assert_allclose(want, np.mean(state_variance(params)[1:]), atol=1e-15)
     # a zero decoder ignores the channel entirely, whatever G does
     G = np.tril(np.arange(9.0).reshape(3, 3))
-    assert mse_objective(G, zero, H, np.ones(3)) == mse_objective(zero, zero, H, np.ones(3))
+    assert form.objective(G, zero) == form.objective(zero, zero)
 
 
 def test_mse_objective_at_closed_form_point_equals_analytic():
     params = SystemParams.make(4, a=0.9)
     channel = ChannelParams.make(4, P=1.0, N=0.5)
-    G, F, H = _closed_form_point(params, channel)
+    G, F, _ = _closed_form_point(params, channel)
     want = analytic_mse(FULL, params, channel).avg_mse_analytic
-    assert abs(mse_objective(G, F, H, channel.N) - want) < 1e-10
-
-
-def test_mse_objective_dimension_mismatch():
-    H = build_H(SystemParams.make(3, a=1.0))
-    with pytest.raises(ValueError):
-        mse_objective(np.zeros((2, 2)), np.zeros((3, 3)), H, np.ones(3))
+    form = _full_state_formulation(params, channel)
+    assert abs(form.objective(G, F) - want) < 1e-10
 
 
 def test_optimal_F_zero_encoder():
-    H = build_H(SystemParams.make(3, a=1.0))
-    F = optimal_F_given_G(np.zeros((3, 3)), H, np.ones(3))
-    assert_allclose(F.entries, np.zeros((3, 3)), rtol=0, atol=0)
+    H = build_H(SystemParams.make(3, a=1.0)).entries
+    F = _form(H, np.ones(3)).optimal_F(np.zeros((3, 3)))
+    assert_allclose(F, np.zeros((3, 3)), rtol=0, atol=0)
 
 
 def test_optimal_F_shrinks_with_noise():
@@ -113,7 +121,7 @@ def test_optimal_F_shrinks_with_noise():
     G, _, H = _closed_form_point(params, channel)
     norms = []
     for N in (1.0, 10.0, 100.0, 1e6):
-        F = optimal_F_given_G(G, H, np.full(4, N)).entries
+        F = _form(H, np.full(4, N)).optimal_F(G)
         norms.append(np.abs(F).sum())
     assert all(n2 < n1 for n1, n2 in zip(norms, norms[1:]))
     assert norms[-1] < 1e-4
@@ -122,8 +130,8 @@ def test_optimal_F_shrinks_with_noise():
 def test_optimal_F_reproduces_decoder_filter():
     params = SystemParams.make(5, a=0.9)
     channel = ChannelParams.make(5, P=1.0, N=0.5)
-    G, F_filter, H = _closed_form_point(params, channel)
-    F = optimal_F_given_G(G, H, channel.N).entries
+    G, F_filter, _ = _closed_form_point(params, channel)
+    F = _full_state_formulation(params, channel).optimal_F(G)
     assert_allclose(F, F_filter, atol=1e-8)
 
 
@@ -132,40 +140,16 @@ def test_optimal_F_is_a_minimum():
     rng = np.random.default_rng(0)
     params = SystemParams.make(4, a=1.1)
     channel = ChannelParams.make(4, P=1.0, N=0.5)
-    H = build_H(params)
+    form = _form(build_H(params).entries, channel.N)
     G = np.tril(rng.standard_normal((4, 4)))
-    F = optimal_F_given_G(G, H, channel.N).entries
-    J0 = mse_objective(G, F, H, channel.N)
+    F = form.optimal_F(G)
+    J0 = form.objective(G, F)
     for _ in range(20):
         delta = 1e-4 * np.tril(rng.choice([-1.0, 1.0], size=(4, 4)))
-        assert mse_objective(G, F + delta, H, channel.N) >= J0 - 1e-12
+        assert form.objective(G, F + delta) >= J0 - 1e-12
 
 
-def test_project_power_scales_hot_rows():
-    params = SystemParams.make(3, a=0.0, b=1.0)  # H = I, rows decouple
-    H = build_H(params)
-    G = np.eye(3) * 2.0  # per-row transmit power 4 against P = 1
-    P = np.ones(3)
-    projected = project_power(G, H, P).entries
-    assert_allclose(projected, np.eye(3), atol=1e-15)  # scaled by 1/2
-
-
-def test_project_power_idempotent_and_tight():
-    rng = np.random.default_rng(1)
-    params = SystemParams.make(5, a=0.9, b=1.3)
-    H = build_H(params)
-    P = rng.uniform(0.5, 2.0, 5)
-    G = np.tril(rng.standard_normal((5, 5))) * 2.0
-    first = project_power(G, H, P).entries
-    again = project_power(first, H, P).entries
-    # re-projection only touches rows already at the boundary, to rounding
-    assert_allclose(again, first, rtol=0, atol=1e-15)
-    before = np.sum((G @ H.entries) ** 2, axis=1)
-    after = np.sum((first @ H.entries) ** 2, axis=1)
-    assert_allclose(after, np.minimum(before, P), rtol=1e-12)
-
-
-def _fd_gradient(G, F, H, N, h=1e-6):
+def _fd_gradient(G, F, form, h=1e-6):
     T = G.shape[0]
     out = np.zeros_like(G)
     for i in range(T):
@@ -173,28 +157,27 @@ def _fd_gradient(G, F, H, N, h=1e-6):
             Gp, Gm = G.copy(), G.copy()
             Gp[i, j] += h
             Gm[i, j] -= h
-            out[i, j] = (mse_objective(Gp, F, H, N)
-                         - mse_objective(Gm, F, H, N)) / (2.0 * h)
+            out[i, j] = (form.objective(Gp, F)
+                         - form.objective(Gm, F)) / (2.0 * h)
     return out
 
 
 def test_gradient_zero_decoder():
-    H = build_H(SystemParams.make(3, a=1.0))
-    g = objective_gradient_G(np.eye(3), np.zeros((3, 3)), H, np.ones(3))
+    form = _form(build_H(SystemParams.make(3, a=1.0)).entries, np.ones(3))
+    g = _gradient_G(form, np.eye(3), np.zeros((3, 3)))
     assert_allclose(g, np.zeros((3, 3)), rtol=0, atol=0)
 
 
 def test_gradient_matches_finite_differences():
     rng = np.random.default_rng(8)
     params = SystemParams.make(4, a=0.9)
-    H = build_H(params)
-    N = np.full(4, 0.5)
+    form = _form(build_H(params).entries, np.full(4, 0.5))
     mask = np.tril(np.ones((4, 4), dtype=bool))
     for _ in range(10):
         G = np.tril(rng.standard_normal((4, 4)))
         F = np.tril(rng.standard_normal((4, 4)))
-        an = objective_gradient_G(G, F, H, N)
-        fd = _fd_gradient(G, F, H.entries, N)
+        an = _gradient_G(form, G, F)
+        fd = _fd_gradient(G, F, form)
         scale = np.abs(an[mask]).max()
         rel = np.abs(an - fd)[mask] / np.maximum(
             np.maximum(np.abs(an), np.abs(fd)), 1e-9 * scale)[mask]
@@ -207,7 +190,7 @@ def _tangent_residual(params, channel):
     G, F, H = _closed_form_point(params, channel)
     T = params.horizon
     mask = np.tril(np.ones((T, T)))
-    grad = objective_gradient_G(G, F, H, channel.N)
+    grad = _gradient_G(_form(H, channel.N), G, F)
     GH = G @ H
     normal = 2.0 * (GH @ H.T) * mask
     total = 0.0
@@ -292,8 +275,8 @@ def _sphere_residual(params, channel, res):
     """
     H = build_H(params).entries
     G = res.G_opt.entries
-    F = optimal_F_given_G(G, H, channel.N)
-    grad = objective_gradient_G(G, F, H, channel.N)
+    form = _form(H, channel.N)
+    grad = _gradient_G(form, G, form.optimal_F(G))
     total = 0.0
     for t in range(params.horizon):
         A = H[:t + 1]

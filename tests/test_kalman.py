@@ -179,6 +179,27 @@ def test_decoder_filter_matches_batch_conditioning():
         want = xbar[1:] + y[:, 1:] @ coef_rows[:, :T - 1].T
         assert_allclose(got, want, atol=1e-10)
 
+        # transmit the estimate of a noisy sensor, uncorrelated and with
+        # V_wv != 0
+        for noisy in (params, _random_params(rng, T, correlated=True,
+                                             x0_random=True)):
+            gains = transmitter_gain_schedule(noisy)
+            ds = coupled_decoder_schedule(noisy, channel, gains)
+            w, v = draw_noise(noisy, 5, RngSeed(seed).stream(3),
+                              RngSeed(seed).stream(4))
+            _, gamma = paths_from_noise(noisy, w, v)
+            xbar = mean_trajectory(noisy)
+            z = ds.K * (transmitter_filter(noisy, gains, gamma)[:, 1:] - xbar[1:])
+            y = np.zeros((5, T))
+            y[:, 1:] = (z + n)[:, :T - 1]
+            got = coupled_decoder_filter(ds, noisy, y)
+
+            _, _, xb_rows = transmitter_reference(noisy)
+            _, _, Sigma_n, _ = plant_basis(noisy)
+            _, _, coef_rows = decoder_estimate_rows(noisy, channel, xb_rows, Sigma_n)
+            want = xbar[1:] + y[:, 1:] @ coef_rows[:, :T - 1].T
+            assert_allclose(got, want, atol=1e-10)
+
 
 def test_estimate_chain_reduction_to_plant():
     """c=1, d=0, V_wv=0: the estimate chain is the plant chain itself."""

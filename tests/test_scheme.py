@@ -18,6 +18,8 @@ from statecast import (
     transmitter_gain_schedule,
 )
 
+from oracles import decimal_receiver_mse
+
 FULL = SchemeKind.FULL_STATE
 NOISY = SchemeKind.NOISY_STATE
 
@@ -130,6 +132,35 @@ def test_analytic_power_is_exact():
     res = analytic_mse(FULL, silent, channel)
     assert res.power_used[0] == 0.0
     assert np.all(res.power_used[1:] == 2.5)
+
+
+def test_analytic_mse_high_snr_matches_decimal_reference():
+    # At high SNR the receiver's error after a silent step (b = 0, and d = 0
+    # for a noisy sensor, so the transmitter's own error vanishes) is a
+    # small difference of O(1) terms: an update written as A S A' + Q -
+    # g g' S cancels there, so double precision is held to a 60-digit
+    # decimal run of that same update.
+    rng = np.random.default_rng(7)
+    T = 30
+    a = rng.uniform(-1.3, 1.3, T)
+    b = rng.uniform(0.3, 2.0, T)
+    b[1::3] = 0.0
+    cases = [
+        (FULL, SystemParams.make(T, a=a, b=b, V_ww=rng.uniform(0.2, 2.0, T + 1))),
+        (NOISY, SystemParams.make(T, a=0.9, b=1.0, c=1.0, d=0.5, V_ww=1.0,
+                                  V_vv=1.0, V_wv=0.0)),
+        (NOISY, SystemParams.make(T, a=a, b=b, c=rng.uniform(0.4, 2.0, T + 1),
+                                  d=np.where(np.arange(T + 1) % 2, 0.0, 0.3),
+                                  V_ww=1.0, V_vv=0.5,
+                                  V_wv=rng.uniform(-0.6, 0.6, T + 1))),
+    ]
+    for snr in (1.0, 1e4, 1e7, 1e10):
+        channel = ChannelParams.make(T, P=rng.uniform(0.5, 2.0, T),
+                                     N=rng.uniform(0.5, 2.0, T) / snr)
+        for kind, params in cases:
+            assert_allclose(analytic_mse(kind, params, channel).mse_analytic,
+                            decimal_receiver_mse(params, channel),
+                            rtol=1e-13, atol=0)
 
 
 def test_monte_carlo_matches_analytic_full_state():
