@@ -262,17 +262,21 @@ def draw_noise(params, samples, rng_process, rng_measurement):
     return w, v
 
 
+def _plant(params, w):
+    """State paths x, shape (samples, T+1), driven by process noise w."""
+    T = params.horizon
+    x = np.empty((w.shape[0], T + 1))
+    x[:, 0] = params.x0
+    for t in range(T):
+        x[:, t + 1] = params.a[t] * x[:, t] + params.b[t] * w[:, t]
+    return x
+
+
 def paths_from_noise(params, w, v):
     """Run the plant and observation equations on given noise arrays.
 
     ``w`` and ``v`` have shape (samples, T+1) (only w(0..T-1) is used).
     Returns (x, gamma) with shape (samples, T+1).
     """
-    T = params.horizon
-    samples = w.shape[0]
-    x = np.empty((samples, T + 1))
-    x[:, 0] = params.x0
-    for t in range(T):
-        x[:, t + 1] = params.a[t] * x[:, t] + params.b[t] * w[:, t]
-    gamma = params.c * x + params.d * v
-    return x, gamma
+    x = _plant(params, w)
+    return x, params.c * x + params.d * v

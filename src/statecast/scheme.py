@@ -13,7 +13,9 @@ FullState is NoisyState with a noiseless sensor (c = 1, d = 0, V_vv = V_wv =
 0): the filter then returns the state itself.  Both schemes therefore run one
 pipeline — transmitter filter, power scaling, exact decoder — and differ only
 in the parameters handed to it.  The decoder keeps one scalar state, its
-estimate of the transmitter's one-step predictor (``kalman``).
+estimate of the transmitter's one-step predictor (``kalman``).  Sampled
+FullState paths skip the v draw and the filter (gamma = xbreve = x), and Monte
+Carlo statistics stream over blocks of paths: memory bounded in n and T.
 
 Known means are handled deterministically: encoders scale deviations from the
 mean path and decoders add the mean back, so the power budget is spent
@@ -34,6 +36,8 @@ from .model import (
     ROLE_MEASUREMENT,
     ROLE_PROCESS,
     _coerce_seed,
+    _noise_factors,
+    _plant,
     draw_noise,
     mean_trajectory,
     paths_from_noise,
@@ -69,7 +73,8 @@ class SchemeSamples:
 
     Shapes: x, gamma and xbreve are (samples, T+1); z, y, xhat are
     (samples, T) with y[:, 0] = 0 and column i of z / xhat at time t = i+1.
-    FullState runs behind a noiseless sensor, so its gamma and xbreve equal x.
+    FullState runs behind a noiseless sensor: gamma and xbreve are the array
+    x.  ``monte_carlo_mse`` streams such blocks of paths and keeps none.
     """
 
     x: np.ndarray
@@ -124,49 +129,80 @@ def analytic_mse(kind, params, channel):
                      power_used=power)
 
 
-def sample_paths(kind, params, channel, samples, seed):
-    """Run the full pipeline (simulate, encode, channel, decode) per sample."""
+def _block_rows(T):
+    # about 1 MB per (rows, T+1) float64 array: memory bounded in T and in n
+    return max(1, 2**20 // (8 * (T + 1)))
+
+
+def _sample_blocks(kind, params, channel, samples, seed, rows):
+    """Yield SchemeSamples for consecutive blocks of at most ``rows`` paths.
+
+    Each role stream continues across blocks, so stacked blocks are the
+    paths of one block of ``samples`` rows, bit for bit.
+    """
+    full = _coerce_kind(kind) is SchemeKind.FULL_STATE
     params = _scheme_params(kind, params)
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    seed = _coerce_seed(seed)
     T = params.horizon
+    gains = kalman.transmitter_gain_schedule(params)
+    k = kalman.power_scale(gains.sigma_breve_sq, channel)
+    xbar = mean_trajectory(params)
+    schedule = kalman.coupled_decoder_schedule(params, channel, gains)
+    rng_w, rng_v, rng_n = (_coerce_seed(seed).stream(role) for role in
+                           (ROLE_PROCESS, ROLE_MEASUREMENT, ROLE_CHANNEL))
+    sd, w_sd = np.sqrt(channel.N), _noise_factors(params)[0]
 
-    w, v = draw_noise(params, samples,
-                      seed.stream(ROLE_PROCESS), seed.stream(ROLE_MEASUREMENT))
-    x, gamma = paths_from_noise(params, w, v)
-    del w, v  # each (samples, T+1) array is freed before the filters allocate
-    z, xbreve = encode_noisy_state(params, channel, gamma)
+    def block(m):
+        if full:  # the noiseless sensor reads no v and the filter returns x
+            x = gamma = xbreve = _plant(params, rng_w.standard_normal((m, T + 1)) * w_sd)
+        else:
+            x, gamma = paths_from_noise(params, *draw_noise(params, m, rng_w, rng_v))
+            xbreve = kalman.transmitter_filter(params, gains, gamma)
+        z = k * (xbreve[:, 1:] - xbar[1:])
+        y = np.zeros_like(z)
+        y[:, 1:] = z[:, :-1] + (rng_n.standard_normal((m, T)) * sd)[:, :-1]
+        xhat = kalman.coupled_decoder_filter(schedule, params, y)
+        return SchemeSamples(x=x, gamma=gamma, xbreve=xbreve, z=z, y=y, xhat=xhat)
 
-    n = seed.stream(ROLE_CHANNEL).standard_normal((samples, T)) * np.sqrt(channel.N)
-    y = np.zeros_like(z)
-    y[:, 1:] = z[:, :T - 1]
-    y[:, 1:] += n[:, :T - 1]
-    del n
+    for start in range(0, samples, rows):
+        yield block(min(rows, samples - start))
 
-    schedule = kalman.coupled_decoder_schedule(params, channel)
-    xhat = kalman.coupled_decoder_filter(schedule, params, y)
-    return SchemeSamples(x=x, gamma=gamma, xbreve=xbreve, z=z, y=y, xhat=xhat)
+
+def sample_paths(kind, params, channel, samples, seed):
+    """Run the full pipeline (simulate, encode, channel, decode) per sample.
+
+    Returns one block of all paths; ``monte_carlo_mse`` streams them in blocks."""
+    return next(_sample_blocks(kind, params, channel, samples, seed, samples))
 
 
 def monte_carlo_mse(kind, params, channel, samples, seed):
-    """Empirical per-step MSE, its standard error, and empirical power."""
-    runs = sample_paths(kind, params, channel, samples, seed)
-    analytic = analytic_mse(kind, params, channel)
+    """Empirical per-step MSE, its standard error, and empirical power.
 
-    sq_err = (runs.x[:, 1:] - runs.xhat) ** 2
-    mse_emp = sq_err.mean(axis=0)
-    if samples > 1:
-        stderr = sq_err.std(axis=0, ddof=1) / np.sqrt(samples)
-    else:
-        stderr = np.zeros(params.horizon)
-    power = (runs.z**2).mean(axis=0)
+    Streams over blocks of paths: per-step sums of the squared error and of
+    z(t)^2, and per-block (mean, M2) pairs of the squared error merged by the
+    pairwise update of Chan, Golub & LeVeque (1979).
+    """
+    T = params.horizon
+    n, sum_e, sum_z, m2 = 0, np.zeros(T), np.zeros(T), np.zeros(T)
+    for runs in _sample_blocks(kind, params, channel, samples, seed, _block_rows(T)):
+        e = (runs.x[:, 1:] - runs.xhat) ** 2
+        m, block_sum = e.shape[0], e.sum(axis=0)
+        delta = block_sum / m - sum_e / max(n, 1)
+        m2 += ((e - block_sum / m) ** 2).sum(axis=0) + delta**2 * (n * m / (n + m))
+        sum_e += block_sum
+        sum_z += (runs.z**2).sum(axis=0)
+        n += m
+        del runs, e  # release the block before the next one is drawn
+    analytic = analytic_mse(kind, params, channel)
+    mse_emp = sum_e / n
     return RunResult(
         mse_analytic=analytic.mse_analytic,
         avg_mse_analytic=analytic.avg_mse_analytic,
-        power_used=power,
-        samples=int(samples),
+        power_used=sum_z / n,
+        samples=n,
         mse_empirical=mse_emp,
-        stderr=stderr,
+        # a single path has m2 = 0 exactly, so its standard error is 0
+        stderr=np.sqrt(m2 / max(n - 1, 1)) / np.sqrt(n),
         avg_mse_empirical=float(np.mean(mse_emp)),
     )

@@ -115,6 +115,21 @@ def test_role_streams_are_independent():
     assert np.any(v1 != v2)
 
 
+def test_block_draws_equal_one_shot_draws():
+    # Monte Carlo draws its paths in row blocks from one generator per role;
+    # consecutive blocks must stack to the one-shot draw, bit for bit.
+    params = SystemParams.make(6, a=0.9, c=1.0, d=0.5, V_vv=1.0, V_wv=0.3)
+    seed = RngSeed(21)
+    w, v = draw_noise(params, 23, seed.stream(0), seed.stream(1))
+    n = seed.stream(2).standard_normal((23, 6))
+    rng_w, rng_v, rng_n = seed.stream(0), seed.stream(1), seed.stream(2)
+    blocks = [(draw_noise(params, m, rng_w, rng_v), rng_n.standard_normal((m, 6)))
+              for m in (1, 7, 10, 5)]
+    assert np.array_equal(np.vstack([wv[0] for wv, _ in blocks]), w)
+    assert np.array_equal(np.vstack([wv[1] for wv, _ in blocks]), v)
+    assert np.array_equal(np.vstack([nb for _, nb in blocks]), n)
+
+
 def test_draw_noise_joint_covariance():
     """Sampled (w, v) pairs reproduce V(t); distinct steps are uncorrelated."""
     params = SystemParams.make(3, a=1.0, V_ww=2.0, V_vv=1.0, V_wv=-0.8)

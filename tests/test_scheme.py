@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -17,6 +19,7 @@ from statecast import (
     state_variance,
     transmitter_gain_schedule,
 )
+from statecast.scheme import _block_rows
 
 from oracles import decimal_receiver_mse
 
@@ -190,6 +193,45 @@ def test_monte_carlo_high_power_limit():
     assert res.mse_analytic[1] < 1.0001
 
 
+@pytest.mark.parametrize("kind,params", [
+    (FULL, SystemParams.make(40, a=np.linspace(0.7, 1.05, 40), b=1.3, x0=-3.7)),
+    (NOISY, SystemParams.make(40, a=0.9, c=1.0, d=0.6, V_ww=1.0, V_vv=1.0,
+                              V_wv=0.3, x0=2.5)),
+], ids=["full", "noisy_correlated"])
+def test_monte_carlo_blocks_match_one_shot_statistics(kind, params):
+    # monte_carlo_mse streams blocks of B rows; sample_paths returns the same
+    # paths in one block, so the statistics must agree to summation order
+    channel = ChannelParams.make(40, P=1.2, N=0.5)
+    B = _block_rows(40)
+    for samples in (1, 7, B - 1, B, B + 1, 2 * B + 3):
+        res = monte_carlo_mse(kind, params, channel, samples, 17)
+        runs = sample_paths(kind, params, channel, samples, 17)
+        sq_err = (runs.x[:, 1:] - runs.xhat) ** 2
+        assert res.samples == samples
+        assert_allclose(res.mse_empirical, sq_err.mean(axis=0), rtol=1e-12, atol=0)
+        assert_allclose(res.power_used, (runs.z**2).mean(axis=0), rtol=1e-12, atol=0)
+        if samples == 1:
+            assert np.all(res.stderr == 0.0)
+        else:
+            assert_allclose(res.stderr, sq_err.std(axis=0, ddof=1) / np.sqrt(samples),
+                            rtol=1e-12, atol=0)
+
+
+def test_monte_carlo_memory_bounded_in_samples():
+    # 25x more paths may not need much more memory: blocks stream through
+    params = SystemParams.make(100, a=0.9, c=1.0, d=0.5, V_vv=1.0, V_wv=0.3)
+    channel = ChannelParams.make(100, P=1.0, N=0.5)
+    peaks = []
+    for samples in (2_000, 50_000):
+        tracemalloc.start()
+        try:
+            monte_carlo_mse(NOISY, params, channel, samples, 3)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.5 * peaks[0], peaks
+
+
 def test_monte_carlo_rejects_zero_samples():
     params = SystemParams.make(2, a=1.0)
     channel = ChannelParams.make(2, P=1.0, N=1.0)
@@ -273,3 +315,9 @@ def test_sample_paths_y_convention():
     runs = sample_paths(FULL, params, channel, 10, 9)
     assert np.all(runs.y[:, 0] == 0.0)
     assert runs.z.shape == (10, 3)
+    # FullState draws no measurement noise: its plant is the one draw_noise
+    # drives, and gamma and xbreve are x itself
+    seed = RngSeed(9)
+    x, _ = paths_from_noise(params, *draw_noise(params, 10, seed.stream(0), seed.stream(1)))
+    assert np.array_equal(runs.x, x)
+    assert runs.gamma is runs.x and runs.xbreve is runs.x
