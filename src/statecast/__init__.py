@@ -33,7 +33,6 @@ from .scheme import (
     SchemeKind,
     SchemeSamples,
     analytic_mse,
-    encode_noisy_state,
     monte_carlo_mse,
     sample_paths,
 )
@@ -56,7 +55,6 @@ __all__ = [
     "coupled_decoder_filter",
     "coupled_decoder_schedule",
     "draw_noise",
-    "encode_noisy_state",
     "main",
     "mean_trajectory",
     "monte_carlo_mse",

@@ -349,6 +349,8 @@ def alternating_optimize(params, channel, restarts=20, max_iters=4000,
         raise ValueError("restarts must be >= 1")
     if not tol > 0:
         raise ValueError("tol must be > 0")
+    if channel.P.ndim != 1:
+        raise ValueError("the search runs one channel, not a (T, K) batch")
     kind = _coerce_kind(kind)
     seed = _coerce_seed(seed)
     if kind is SchemeKind.FULL_STATE:

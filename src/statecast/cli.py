@@ -23,7 +23,7 @@ import numpy as np
 
 from .baseline import alternating_optimize
 from .model import ChannelParams, SystemParams, state_variance
-from .scheme import SchemeKind, analytic_mse, monte_carlo_mse
+from .scheme import RunResult, SchemeKind, analytic_mse, monte_carlo_mse
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -227,27 +227,41 @@ def _check_finite(value):
         raise NumericalError("non-finite value in output")
 
 
-def render_record(rows, footer):
-    """CSV text for one experiment: header, per-t rows, '#' footer lines."""
-    lines = ["t,mse_analytic,mse_empirical,stderr,power_used"]
-    for row in rows:
-        for value in row:
-            _check_finite(value)
-        lines.append(",".join(_fmt(v) for v in row))
+def _table(columns):
+    """CSV lines from columns of numbers (None: empty cells), with one
+    finiteness check per column and one format call per line."""
+    specs, data = [], []
+    for column in columns:
+        if column is None:
+            specs.append("")
+            continue
+        arr = np.asarray(column)
+        if not np.isfinite(arr).all():
+            raise NumericalError("non-finite value in output")
+        specs.append("{}" if arr.dtype.kind in "iu" else "{:.12g}")
+        data.append(arr.tolist())
+    return map(",".join(specs).format, *data) if data else ()
+
+
+def _render(columns, footer):
+    lines = ["t,mse_analytic,mse_empirical,stderr,power_used", *_table(columns)]
     for key, value in footer:
         _check_finite(value)
         lines.append(f"# {key} = {_fmt(value)}")
     return "\n".join(lines) + "\n"
 
 
-def _result_rows(result):
-    rows = []
-    for i in range(len(result.mse_analytic)):
-        emp = None if result.mse_empirical is None else result.mse_empirical[i]
-        se = None if result.stderr is None else result.stderr[i]
-        rows.append((i + 1, result.mse_analytic[i], emp, se,
-                     result.power_used[i]))
-    return rows
+def render_record(rows, footer):
+    """CSV text for one experiment: header, per-t rows, '#' footer lines.
+    Each column of the rows holds numbers only or None only."""
+    return _render([None if all(v is None for v in column) else column
+                    for column in zip(*rows)], footer)
+
+
+def _render_result(result, footer):
+    steps = np.arange(1, len(result.mse_analytic) + 1)
+    return _render((steps, result.mse_analytic, result.mse_empirical,
+                    result.stderr, result.power_used), footer)
 
 
 def _warn_variance(params):
@@ -258,32 +272,38 @@ def _warn_variance(params):
               "double precision may lose accuracy", file=sys.stderr)
 
 
-def run_analytic(config):
+def _analytic(config):
     params = config.system_params()
     _warn_variance(params)
-    result = analytic_mse(config.scheme, params, config.channel_params())
-    footer = [("avg_mse_analytic", result.avg_mse_analytic)]
-    return render_record(_result_rows(result), footer)
+    return analytic_mse(config.scheme, params, config.channel_params())
+
+
+def run_analytic(config):
+    result = _analytic(config)
+    return _render_result(result, [("avg_mse_analytic", result.avg_mse_analytic)])
+
+
+def _simulate(config):
+    params = config.system_params()
+    _warn_variance(params)
+    result = monte_carlo_mse(config.scheme, params, config.channel_params(),
+                             config.samples, config.seed)
+    return result, [
+        ("avg_mse_analytic", result.avg_mse_analytic),
+        ("avg_mse_empirical", result.avg_mse_empirical),
+        ("samples", result.samples),
+    ]
 
 
 def run_simulate(config):
     if config.samples < 1:
         raise ConfigError("samples", "must be >= 1 for simulate (set --samples)")
-    params = config.system_params()
-    _warn_variance(params)
-    result = monte_carlo_mse(config.scheme, params, config.channel_params(),
-                             config.samples, config.seed)
-    footer = [
-        ("avg_mse_analytic", result.avg_mse_analytic),
-        ("avg_mse_empirical", result.avg_mse_empirical),
-        ("samples", result.samples),
-    ]
-    return render_record(_result_rows(result), footer)
+    return _render_result(*_simulate(config))
 
 
-def _baseline_footer(config, params, channel, avg_analytic):
+def _baseline_footer(config, avg_analytic):
     bl = alternating_optimize(
-        params, channel,
+        config.system_params(), config.channel_params(),
         restarts=config.baseline["restarts"],
         max_iters=config.baseline["max_iters"],
         tol=config.baseline["tol"],
@@ -310,33 +330,17 @@ def _check_baseline_cap(config):
 
 def run_baseline(config):
     _check_baseline_cap(config)
-    params = config.system_params()
-    channel = config.channel_params()
-    _warn_variance(params)
-    result = analytic_mse(config.scheme, params, channel)
+    result = _analytic(config)
     footer = [("avg_mse_analytic", result.avg_mse_analytic)]
-    footer += _baseline_footer(config, params, channel, result.avg_mse_analytic)
-    return render_record(_result_rows(result), footer)
+    return _render_result(result, footer + _baseline_footer(config, result.avg_mse_analytic))
 
 
 def run_compare(config):
+    if config.samples < 1:
+        return run_baseline(config)
     _check_baseline_cap(config)
-    params = config.system_params()
-    channel = config.channel_params()
-    _warn_variance(params)
-    if config.samples >= 1:
-        result = monte_carlo_mse(config.scheme, params, channel,
-                                 config.samples, config.seed)
-        footer = [
-            ("avg_mse_analytic", result.avg_mse_analytic),
-            ("avg_mse_empirical", result.avg_mse_empirical),
-            ("samples", result.samples),
-        ]
-    else:
-        result = analytic_mse(config.scheme, params, channel)
-        footer = [("avg_mse_analytic", result.avg_mse_analytic)]
-    footer += _baseline_footer(config, params, channel, result.avg_mse_analytic)
-    return render_record(_result_rows(result), footer)
+    result, footer = _simulate(config)
+    return _render_result(result, footer + _baseline_footer(config, result.avg_mse_analytic))
 
 
 def _swept_config(config, field, value):
@@ -352,24 +356,32 @@ def run_sweep(config):
     if field == "a" and any(abs(v) > 1 for v in values):
         print("warning: |a| > 1: state variance grows geometrically with t",
               file=sys.stderr)
-    pieces = []
-    averages = []
-    for value in values:
-        variant = _swept_config(config, field, value)
-        params = variant.system_params()
+    return "".join(_sweep_pieces(config, field, values))
+
+
+def _sweep_pieces(config, field, values):
+    """Each swept value's '# sweep' line and record, then the summary.  P and
+    N sweeps share one transmitter schedule: one run on a (T, K) channel batch."""
+    if field == "a":
+        results = (_analytic(_swept_config(config, field, value)) for value in values)
+    else:
+        params = config.system_params()
         _warn_variance(params)
-        result = analytic_mse(variant.scheme, params, variant.channel_params())
+        other = "N" if field == "P" else "P"
+        shape = (config.horizon, len(values))
+        fixed = np.reshape(config.channel[other], (-1, 1))
+        batch = analytic_mse(config.scheme, params, ChannelParams(
+            **{field: np.broadcast_to(values, shape), other: np.broadcast_to(fixed, shape)}))
+        results = map(RunResult, batch.mse_analytic.T, batch.avg_mse_analytic.tolist(),
+                      batch.power_used.T)
+    pieces, averages = [], []
+    for value, result in zip(values, results):
         averages.append(result.avg_mse_analytic)
         pieces.append(f"# sweep {field} = {_fmt(value)}\n")
-        footer = [("avg_mse_analytic", result.avg_mse_analytic)]
-        pieces.append(render_record(_result_rows(result), footer))
-    pieces.append("# sweep summary\n")
-    summary = [f"{field},avg_mse_analytic"]
-    for value, avg in zip(values, averages):
-        _check_finite(avg)
-        summary.append(f"{_fmt(value)},{_fmt(avg)}")
-    pieces.append("\n".join(summary) + "\n")
-    return "".join(pieces)
+        pieces.append(_render_result(result, [("avg_mse_analytic", result.avg_mse_analytic)]))
+    summary = [f"{field},avg_mse_analytic", *_table((values, averages))]
+    pieces.append("# sweep summary\n" + "\n".join(summary) + "\n")
+    return pieces
 
 
 _RUNNERS = {
@@ -424,7 +436,8 @@ def main(argv=None):
 
     try:
         config = _apply_overrides(load_config(args.config), args)
-        text = _RUNNERS[args.command](config)
+        with np.errstate(all="ignore"):  # the renderer reports non-finite output
+            text = _RUNNERS[args.command](config)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -19,7 +19,9 @@ noiseless sensor (c = 1, d = 0), so this one recursion serves every case.
 The ``coupled_*`` names are kept as the stable public surface.
 
 The schedule loops run on Python floats read from and written to float64
-arrays; the sample-path filters run time-major, one contiguous row per step.
+arrays.  For a batch of K channels (``ChannelParams`` of shape (T, K)) the
+receiver schedule runs the same loop body on (K,) rows, one per step.  The
+sample-path filters run time-major, one contiguous row per step.
 All second moments are taken about the deterministic mean path; estimators
 are affine around it.
 """
@@ -38,8 +40,8 @@ class GainSchedule:
     """Transmitter-filter schedules.
 
     L, Vxi, sigma_breve_sq, innovation_var and filtered_error_var have T+1
-    entries (times 0 .. T); pred_gain and beta have T entries (entry t couples
-    times t and t+1).
+    entries (times 0 .. T); pred_gain has T entries (entry t couples times t
+    and t+1).
     """
 
     L: np.ndarray                   # innovation gain of the filtered estimate
@@ -48,11 +50,6 @@ class GainSchedule:
     innovation_var: np.ndarray      # variance of gamma(t) - c(t) * (predicted xbreve)
     pred_gain: np.ndarray           # innovation -> next one-step predictor coefficient
     filtered_error_var: np.ndarray  # E (x(t) - xbreve(t))^2
-
-    @property
-    def beta(self):
-        """Innovation scale of the estimate chain, beta(t)^2 = L(t+1)^2 innovation_var(t+1)."""
-        return np.abs(self.L[1:]) * np.sqrt(self.innovation_var[1:])
 
 
 @dataclass(frozen=True)
@@ -64,6 +61,7 @@ class CoupledDecoderSchedule:
     centered estimate s(t) of the transmitter's predictor p(t), and
     xhat(t) is the mean path plus s(t).  Row t-1 of ``coef`` holds the sample
     filter's step t = 1 .. T-1, s(t+1) = m s(t) + g y(t), stored as (m, g).
+    For a batch of K channels each entry gains a trailing axis of length K.
     """
 
     K: np.ndarray      # encoder scale factors, t = 1 .. T
@@ -75,12 +73,13 @@ def power_scale(sigma_sq, channel):
     """Per-step encoder scale k_t = sqrt(P(t)) / sigma_t, with k_t = 0 when
     the source variance vanishes (a zero-variance source carries nothing).
 
-    ``sigma_sq`` has T+1 entries (times 0 .. T); the returned schedule has T
-    entries, element i for time t = i+1.
+    ``sigma_sq`` has T+1 entries (times 0 .. T); the returned schedule has
+    the shape of ``channel.P``, row i for time t = i+1.
     """
     sigma_sq = np.asarray(sigma_sq, dtype=float)
     live = sigma_sq[1:] > 0
-    return np.where(live, np.sqrt(channel.P / np.where(live, sigma_sq[1:], 1.0)), 0.0)
+    # P.T puts time last, so the (T,) schedule broadcasts over a (T, K) batch
+    return np.where(live, np.sqrt(channel.P.T / np.where(live, sigma_sq[1:], 1.0)), 0.0).T
 
 
 def _noise_views(params):
@@ -161,7 +160,8 @@ def coupled_decoder_schedule(params, channel, gains=None):
     """Exact decoder schedule for the filtered-transmission scheme.
 
     Valid for arbitrary V_wv, and for direct state transmission run as the
-    filtered scheme behind a noiseless sensor.
+    filtered scheme behind a noiseless sensor.  A (T, K) channel batch runs
+    the same loop on (K,) rows in place of Python floats.
     """
     T = params.horizon
     if channel.horizon != T:
@@ -171,17 +171,19 @@ def coupled_decoder_schedule(params, channel, gains=None):
     L, J, vi, Vxi = (memoryview(arr) for arr in
                      (gains.L, gains.pred_gain, gains.innovation_var, gains.Vxi))
 
+    batch = channel.P.shape[1:]
+    view = memoryview if not batch else np.asarray  # per step: a float or a (K,) row
     K = power_scale(gains.sigma_breve_sq, channel)
-    mse = np.empty(T)
-    coef = np.empty((T - 1, 2))
-    out, step = memoryview(mse), memoryview(coef.reshape(-1))
+    mse = np.empty((T,) + batch)
+    coef = np.empty((T - 1, 2) + batch)
+    out, step = view(mse), view(coef.reshape((-1,) + batch))
 
     # error variance of the estimate of p(1) = J(0) i(0); no channel output
     # has arrived yet
     r = J[0] * J[0] * vi[0]
     out[0] = Vxi[1] + r
-    steps = zip(range(1, T), memoryview(K), memoryview(params.a)[1:], L[1:], J[1:],
-                vi[1:], Vxi[2:], memoryview(channel.N))
+    steps = zip(range(1, T), view(K), memoryview(params.a)[1:], L[1:], J[1:],
+                vi[1:], Vxi[2:], view(channel.N))
     for t, kt, at, lt, jt, vt, xt, nt in steps:
         # y(t) = k p(t) + (k L i(t) + n(t)); p(t+1) = a p(t) + J i(t)
         kl = kt * lt

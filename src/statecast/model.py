@@ -178,7 +178,11 @@ class SystemParams:
 
 @dataclass(frozen=True)
 class ChannelParams:
-    """Per-sample transmit power budgets P(t) and channel noise variances N(t), t = 1 .. T."""
+    """Per-sample transmit power budgets P(t) and channel noise variances N(t), t = 1 .. T.
+
+    P and N of shape (T, K) hold a batch of K channels, column k one channel,
+    for the receiver schedule and ``analytic_mse``.
+    """
 
     P: np.ndarray
     N: np.ndarray
@@ -186,8 +190,8 @@ class ChannelParams:
     def __post_init__(self):
         P = np.atleast_1d(np.asarray(self.P, dtype=float))
         N = np.atleast_1d(np.asarray(self.N, dtype=float))
-        if P.size != N.size:
-            raise ValueError("P and N must have the same length")
+        if P.shape != N.shape or P.ndim > 2:
+            raise ValueError("P and N must have one shape, (T,) or (T, K)")
         _require_finite(P, "P(t)")
         _require_finite(N, "N(t)")
         if np.any(P <= 0):
@@ -199,7 +203,7 @@ class ChannelParams:
 
     @property
     def horizon(self):
-        return self.P.size
+        return self.P.shape[0]
 
     @classmethod
     def make(cls, T, P, N):

@@ -55,7 +55,8 @@ class RunResult:
 
     Analytic-only results leave the empirical fields as None.  power_used is
     the exact transmit power for analytic runs and the empirical mean of
-    z(t)^2 for Monte Carlo runs.
+    z(t)^2 for Monte Carlo runs.  An analytic run on a batch of K channels
+    has (T, K) columns and a (K,) array of averages.
     """
 
     mse_analytic: np.ndarray
@@ -100,32 +101,21 @@ def _scheme_params(kind, params):
     return replace(params, c=1.0, d=0.0, V=V)
 
 
-def encode_noisy_state(params, channel, gamma):
-    """Filter the observations, then transmit the scaled estimate.
-
-    Returns (z, xbreve): z(t) = sqrt(P(t))/sigma_t * xbreve(t) with
-    sigma_t^2 = E xbreve(t)^2, and xbreve the transmitter-filter output
-    (shape (..., T+1)).  Behind a noiseless sensor (c = 1, d = 0) xbreve is
-    the state itself and this is the FullState encoder.
-    """
-    gains = kalman.transmitter_gain_schedule(params)
-    xbreve = kalman.transmitter_filter(params, gains, gamma)
-    k = kalman.power_scale(gains.sigma_breve_sq, channel)
-    xbar = mean_trajectory(params)
-    return k * (xbreve[..., 1:] - xbar[1:]), xbreve
-
-
 def analytic_mse(kind, params, channel):
     """Exact per-step estimation error of the scheme; no sampling.
 
     Runs the transmitter gain schedule and the exact decoder schedule;
-    FullState runs them behind a noiseless sensor.
+    FullState runs them behind a noiseless sensor.  A (T, K) channel batch
+    shares one transmitter schedule and yields one column per channel.
     """
     params = _scheme_params(kind, params)
     gains = kalman.transmitter_gain_schedule(params)
     mse = kalman.coupled_decoder_schedule(params, channel, gains).mse
-    power = np.where(gains.sigma_breve_sq[1:] > 0, channel.P, 0.0)
-    return RunResult(mse_analytic=mse, avg_mse_analytic=float(np.mean(mse)),
+    # P.T puts time last, so the (T,) mask broadcasts over a (T, K) batch
+    power = np.where(gains.sigma_breve_sq[1:] > 0, channel.P.T, 0.0).T
+    # each average sums one contiguous row, in the order of a single channel's
+    avg = np.mean(np.ascontiguousarray(mse.T), axis=-1)
+    return RunResult(mse_analytic=mse, avg_mse_analytic=avg if avg.ndim else float(avg),
                      power_used=power)
 
 
@@ -144,6 +134,8 @@ def _sample_blocks(kind, params, channel, samples, seed, rows):
     params = _scheme_params(kind, params)
     if samples < 1:
         raise ValueError("samples must be >= 1")
+    if channel.P.ndim != 1:
+        raise ValueError("Monte Carlo runs one channel, not a (T, K) batch")
     T = params.horizon
     gains = kalman.transmitter_gain_schedule(params)
     k = kalman.power_scale(gains.sigma_breve_sq, channel)

@@ -321,7 +321,7 @@ def test_criterion_07_silent_sensor_reduction(capsys):
         worst = max(
             worst,
             float(np.abs(g.sigma_breve_sq - state_variance(full)).max()),
-            float(np.abs(g.beta**2 - full.b**2 * full.V[:T, 0, 0]).max()),
+            float(np.abs(g.L[1:]**2 * g.innovation_var[1:] - full.b**2 * full.V[:T, 0, 0]).max()),
             float(np.abs(g.filtered_error_var).max()))
         rf = analytic_mse(FULL, full, channel)
         rn = analytic_mse(NOISY, noisy, channel)

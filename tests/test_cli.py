@@ -1,11 +1,12 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from statecast import ExperimentConfig, main, parse_config
-from statecast.cli import ConfigError
+from statecast.cli import ConfigError, NumericalError, render_record
 
 BASE = {
     "horizon": 2,
@@ -198,6 +199,24 @@ def test_numerical_failure_exit_code(tmp_path, capsys):
     assert "numerical failure" in err
 
 
+@pytest.mark.parametrize("command", ["analytic", "simulate", "sweep"])
+def test_numerical_failure_reports_only_cli_lines(tmp_path, capsys, command):
+    # the state variance overflows near t = 100; the CLI reports that through
+    # its own lines and lets no numpy RuntimeWarning through
+    cfg = _write(tmp_path, {"horizon": 200, "system": {"a": 1e3},
+                            "channel": {"P": 1.0, "N": 1.0}, "samples": 10,
+                            "sweep": {"field": "P", "values": [0.5, 1.0, 2.0]}})
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = _run(capsys, [command, "--config", cfg])
+    assert code == 3
+    assert out == ""
+    assert [w.message for w in caught if issubclass(w.category, RuntimeWarning)] == []
+    lines = err.splitlines()
+    assert all(line.startswith(("warning: ", "numerical failure: ")) for line in lines), err
+    assert lines[-1].startswith("numerical failure: ")
+
+
 def test_huge_variance_warns_but_completes(tmp_path, capsys):
     # a = 2 over 50 steps pushes the state variance past 1e12 while every
     # MSE entry stays finite (the decoder error is bounded by a^2 N + 1)
@@ -234,6 +253,83 @@ def test_sweep_unstable_a_warns_but_completes(tmp_path, capsys):
     summary = out.split("# sweep summary\n")[1].splitlines()
     avgs = [float(line.split(",")[1]) for line in summary[1:]]
     assert all(np.isfinite(avgs)) and avgs == sorted(avgs)
+
+
+# Coupled NoisyState with a silent step and a time-varying channel: a P
+# sweep replaces the P array by each value and keeps the N array, and an N
+# sweep the other way round.
+SWEEP_BASE = {
+    "horizon": 6,
+    "system": {"a": 0.9, "b": [1.0, 0.0, 1.2, 1.0, 0.8, 1.0], "c": 1.1,
+               "d": 0.5, "V_vv": 1.0, "V_wv": 0.3, "x0": 0.7},
+    "channel": {"P": [0.5, 1.0, 1.5, 2.0, 1.0, 0.7], "N": [0.4, 0.5, 0.6, 0.3, 0.9, 1.1]},
+    "scheme": "NoisyState",
+}
+
+
+@pytest.mark.parametrize("field,values", [
+    ("P", [1e-3, 0.1, 1.0, 2.5, 1234567.0]),
+    ("N", [1e-6, 0.3, 1.0, 40.0]),
+    ("a", [-0.5, 0.9, 1.0, 1.3]),
+])
+def test_sweep_records_equal_analytic_runs(tmp_path, capsys, field, values):
+    data = json.loads(json.dumps(SWEEP_BASE))
+    data["sweep"] = {"field": field, "values": values}
+    code, out, _ = _run(capsys, ["sweep", "--config", _write(tmp_path, data)])
+    assert code == 0
+    body, summary = out.split("# sweep summary\n")
+    blocks = body.split(f"# sweep {field} = ")
+    assert blocks[0] == "" and len(blocks) == len(values) + 1
+    summary = summary.splitlines()
+    assert summary[0] == f"{field},avg_mse_analytic" and len(summary) == len(values) + 1
+    section = "system" if field == "a" else "channel"
+    for i, (value, block, line) in enumerate(zip(values, blocks[1:], summary[1:])):
+        printed, _, record = block.partition("\n")
+        assert printed == f"{value:.12g}"
+        single = json.loads(json.dumps(SWEEP_BASE))
+        single[section][field] = value
+        _, expected, _ = _run(capsys, ["analytic", "--config",
+                                       _write(tmp_path, single, f"single{i}.json")])
+        assert record == expected
+        assert line == f"{printed},{_footer(record)['avg_mse_analytic']}"
+
+
+def test_render_record_keeps_its_bytes():
+    rows = [(1, np.float64(1.0), None, None, np.float64(0.5)),
+            (2, np.float64(1 / 3), None, None, 2.0),
+            (10, np.float64(2.5e-13), None, None, np.float64(123456789012.5))]
+    footer = [("avg_mse_analytic", np.float64(2 / 3)), ("baseline_converged", True),
+              ("baseline_converged", False), ("samples", 5)]
+    assert render_record(rows, footer) == (
+        "t,mse_analytic,mse_empirical,stderr,power_used\n"
+        "1,1,,,0.5\n"
+        "2,0.333333333333,,,2\n"
+        "10,2.5e-13,,,123456789012\n"
+        "# avg_mse_analytic = 0.666666666667\n"
+        "# baseline_converged = true\n"
+        "# baseline_converged = false\n"
+        "# samples = 5\n")
+    full = [(1, np.float64(1.0), np.float64(0.98), np.float64(0.0123456789012345), 1.0),
+            (np.int64(2), 1e20, 3, np.float64(-0.0), 7)]
+    assert render_record(full, []) == (
+        "t,mse_analytic,mse_empirical,stderr,power_used\n"
+        "1,1,0.98,0.0123456789012,1\n"
+        "2,1e+20,3,-0,7\n")
+    assert render_record([], [("x", 1.5)]) == (
+        "t,mse_analytic,mse_empirical,stderr,power_used\n# x = 1.5\n")
+
+
+@pytest.mark.parametrize("column", [1, 2, 3, 4, "footer"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_render_record_rejects_non_finite_values(column, bad):
+    rows = [[1, 1.0, 0.9, 0.1, 1.0], [2, 1.5, 1.4, 0.1, 1.0]]
+    footer = [("avg_mse_analytic", 1.25)]
+    if column == "footer":
+        footer.append(("avg_mse_empirical", bad))
+    else:
+        rows[1][column] = bad
+    with pytest.raises(NumericalError):
+        render_record(rows, footer)
 
 
 def test_sweep_requires_sweep_section(tmp_path, capsys):

@@ -207,7 +207,8 @@ def test_estimate_chain_reduction_to_plant():
                                b=[1.0, 2.0, 0.5, 1.5, 1.0],
                                c=1.0, d=0.0, V_ww=0.8)
     g = transmitter_gain_schedule(params)
-    assert_allclose(g.beta, np.abs(params.b) * np.sqrt(0.8), atol=1e-12)
+    assert_allclose(np.abs(g.L[1:]) * np.sqrt(g.innovation_var[1:]),
+                    np.abs(params.b) * np.sqrt(0.8), atol=1e-12)
     assert_allclose(g.sigma_breve_sq, state_variance(params), atol=1e-12)
     assert_allclose(g.filtered_error_var, np.zeros(6), atol=0)
 

@@ -9,14 +9,17 @@ from statecast import (
     RngSeed,
     SchemeKind,
     SystemParams,
+    alternating_optimize,
     analytic_mse,
+    coupled_decoder_schedule,
     draw_noise,
-    encode_noisy_state,
+    mean_trajectory,
     monte_carlo_mse,
     paths_from_noise,
     power_scale,
     sample_paths,
     state_variance,
+    transmitter_filter,
     transmitter_gain_schedule,
 )
 from statecast.scheme import _block_rows
@@ -35,12 +38,37 @@ def _one_path(params, seed):
     return x[0], gamma[0]
 
 
+def _encode(params, channel, gamma):
+    """The pipeline's encoder on given observations: filter them, then scale
+    the estimate's deviation from the mean path to the power budget.
+
+    Returns (z, xbreve) with shapes (..., T) and (..., T+1).
+    """
+    gains = transmitter_gain_schedule(params)
+    xbreve = transmitter_filter(params, gains, gamma)
+    k = power_scale(gains.sigma_breve_sq, channel)
+    return k * (xbreve[..., 1:] - mean_trajectory(params)[1:]), xbreve
+
+
+@pytest.mark.parametrize("kind,params", [
+    (FULL, SystemParams.make(6, a=[0.5, 0.9, 1.1, 0.7, 1.0, 0.8], b=1.3)),
+    (NOISY, SystemParams.make(6, a=0.9, c=1.2, d=0.6, V_vv=1.0, V_wv=0.3, x0=1.5)),
+], ids=["full", "noisy_correlated"])
+def test_sample_paths_transmit_the_encoded_estimate(kind, params):
+    # the sampled pipeline sends exactly what _encode computes from its gamma
+    channel = ChannelParams.make(6, P=np.linspace(0.5, 2.0, 6), N=0.5)
+    runs = sample_paths(kind, params, channel, 9, 11)
+    z, xbreve = _encode(params, channel, runs.gamma)
+    assert np.array_equal(runs.z, z)
+    assert np.array_equal(runs.xbreve, xbreve)
+
+
 # SystemParams.make defaults to a noiseless sensor (c=1, d=0, V_vv=0): there
-# gamma = x and encode_noisy_state is the FullState encoder.
+# gamma = x and _encode is the FullState encoder.
 def test_encode_full_state_zero_state():
     params = SystemParams.make(3, a=1.0)
     channel = ChannelParams.make(3, P=1.0, N=1.0)
-    assert_allclose(encode_noisy_state(params, channel, np.zeros(4))[0],
+    assert_allclose(_encode(params, channel, np.zeros(4))[0],
                     np.zeros(3), rtol=0, atol=0)
 
 
@@ -49,7 +77,7 @@ def test_encode_full_state_unit_variance():
     params = SystemParams.make(3, a=0.0, b=1.0, V_ww=1.0)
     channel = ChannelParams.make(3, P=4.0, N=1.0)
     x = np.array([0.0, 1.0, -2.0, 0.5])
-    assert_allclose(encode_noisy_state(params, channel, x)[0],
+    assert_allclose(_encode(params, channel, x)[0],
                     2.0 * x[1:], rtol=0, atol=0)
 
 
@@ -57,7 +85,7 @@ def test_encode_full_state_uses_variance_schedule():
     params = SystemParams.make(3, a=0.5, b=2.0)
     channel = ChannelParams.make(3, P=1.0, N=1.0)
     x = np.array([0.0, 1.0, 1.0, 1.0])
-    z = encode_noisy_state(params, channel, x)[0]
+    z = _encode(params, channel, x)[0]
     # sigma_2^2 = 5 from the variance schedule example
     assert_allclose(z[1], 1.0 / np.sqrt(5.0), atol=1e-15)
 
@@ -67,7 +95,7 @@ def test_encode_noisy_state_uninformative_observation():
     params = SystemParams.make(3, a=1.0, c=0.0, d=1.0, V_vv=1.0)
     channel = ChannelParams.make(3, P=1.0, N=1.0)
     _, gamma = _one_path(params, 4)
-    z, xbreve = encode_noisy_state(params, channel, gamma)
+    z, xbreve = _encode(params, channel, gamma)
     assert_allclose(z, np.zeros(3), rtol=0, atol=0)
     assert_allclose(xbreve, np.zeros(4), rtol=0, atol=0)
 
@@ -76,22 +104,22 @@ def test_encode_noisy_state_reduces_to_full_state():
     params = SystemParams.make(4, a=0.9, b=1.2, c=1.0, d=0.0, V_ww=1.0)
     channel = ChannelParams.make(4, P=1.0, N=0.5)
     x, gamma = _one_path(params, 8)
-    z_noisy, xbreve = encode_noisy_state(params, channel, gamma)
+    z_noisy, xbreve = _encode(params, channel, gamma)
     z_full = power_scale(state_variance(params), channel) * x[1:]
     assert_allclose(xbreve, x, atol=1e-12)
     assert_allclose(z_noisy, z_full, atol=1e-12)
 
 
 def test_encode_noisy_state_first_step_scale():
-    # a=b=c=d=1, V_ww=V_vv=1, V_wv=0: sigma_1^2 = beta(0)^2 = L(1)^2 * 2 = 1/2
+    # a=b=c=d=1, V_ww=V_vv=1, V_wv=0: sigma_1^2 = L(1)^2 * innovation_var(1) = 1/2
     params = SystemParams.make(2, a=1.0, b=1.0, c=1.0, d=1.0,
                                V_ww=1.0, V_vv=1.0, V_wv=0.0)
     channel = ChannelParams.make(2, P=1.0, N=1.0)
     g = transmitter_gain_schedule(params)
     assert_allclose(g.sigma_breve_sq[1], 0.5, atol=1e-15)
-    assert_allclose(g.beta[0]**2, 0.5, atol=1e-15)
+    assert_allclose(g.L[1]**2 * g.innovation_var[1], 0.5, atol=1e-15)
     _, gamma = _one_path(params, 1)
-    z, xbreve = encode_noisy_state(params, channel, gamma)
+    z, xbreve = _encode(params, channel, gamma)
     assert_allclose(z[0], xbreve[1] / np.sqrt(0.5), atol=1e-14)
 
 
@@ -290,11 +318,71 @@ def test_full_state_encoder_is_memoryless():
     channel = ChannelParams.make(4, P=1.0, N=1.0)
     x1 = np.array([0.0, 1.0, -3.0, 2.0, 1.0])
     x2 = np.array([0.0, -2.0, 5.0, 2.0, 1.0])  # same x(3), different history
-    z1 = encode_noisy_state(params, channel, x1)[0]
-    z2 = encode_noisy_state(params, channel, x2)[0]
+    z1 = _encode(params, channel, x1)[0]
+    z2 = _encode(params, channel, x2)[0]
     assert z1[2] == z2[2]
     assert z1[3] == z2[3]
     assert z1[0] != z2[0]
+
+
+_BATCH_CASES = [
+    (FULL, SystemParams.make(12, a=np.linspace(0.6, 1.1, 12), b=1.3, x0=0.4)),
+    (NOISY, SystemParams.make(12, a=0.9, b=[1.0, 0.0] * 6, c=1.2, d=0.6,
+                              V_vv=1.0, V_wv=0.0)),
+    (NOISY, SystemParams.make(12, a=np.linspace(1.1, 0.7, 12), b=[0.0] + [1.1] * 11,
+                              c=0.8, d=0.5, V_ww=1.5, V_vv=0.7, V_wv=0.4)),
+    (FULL, SystemParams.make(1, a=0.9)),
+    (NOISY, SystemParams.make(1, a=0.9, b=0.0, c=1.0, d=0.5, V_vv=1.0, V_wv=0.2)),
+]
+
+
+@pytest.mark.parametrize("kind,params", _BATCH_CASES,
+                         ids=["full", "noisy", "noisy_correlated", "full_T1", "noisy_T1_b0"])
+def test_batched_receiver_equals_single_channels_bit_for_bit(kind, params):
+    # column k of a (T, K) batch runs the same arithmetic on (K,) rows as the
+    # single channel k runs on floats, so every value agrees to 0 ulp
+    T = params.horizon
+    rng = np.random.default_rng(T)
+    P, N = rng.uniform(0.5, 2.0, T), rng.uniform(0.2, 1.0, T)
+    levels = np.geomspace(1e-3, 1e4, 6)
+    channels = ([ChannelParams.make(T, P=v, N=N) for v in levels]      # P sweep
+                + [ChannelParams.make(T, P=P, N=v) for v in levels]    # N sweep
+                + [ChannelParams.make(T, P=rng.uniform(0.1, 10.0, T),
+                                      N=rng.uniform(0.1, 10.0, T))])
+    batch = ChannelParams(P=np.column_stack([c.P for c in channels]),
+                          N=np.column_stack([c.N for c in channels]))
+    assert batch.horizon == T
+    got = analytic_mse(kind, params, batch)
+    sched = coupled_decoder_schedule(params, batch)
+    assert got.mse_analytic.shape == got.power_used.shape == (T, len(channels))
+    assert sched.coef.shape == (T - 1, 2, len(channels))
+    for k, channel in enumerate(channels):
+        want = analytic_mse(kind, params, channel)
+        assert np.array_equal(got.mse_analytic[:, k], want.mse_analytic)
+        assert np.array_equal(got.power_used[:, k], want.power_used)
+        assert got.avg_mse_analytic[k] == want.avg_mse_analytic
+        one = coupled_decoder_schedule(params, channel)
+        for name in ("K", "mse", "coef"):
+            assert np.array_equal(getattr(sched, name)[..., k], getattr(one, name)), name
+
+
+def test_channel_batches_are_validated():
+    with pytest.raises(ValueError):
+        ChannelParams(P=np.ones((4, 3)), N=np.ones((4, 2)))
+    with pytest.raises(ValueError):
+        ChannelParams(P=np.ones(4), N=np.ones((4, 1)))
+    with pytest.raises(ValueError):
+        ChannelParams(P=np.ones((4, 3)), N=-np.ones((4, 3)))
+    # only the analytic path takes a batch; K = T = samples would otherwise
+    # broadcast into a wrong Monte Carlo result
+    params = SystemParams.make(4, a=0.9)
+    batch = ChannelParams(P=np.ones((4, 4)), N=np.ones((4, 4)))
+    with pytest.raises(ValueError, match="one channel"):
+        monte_carlo_mse(FULL, params, batch, 4, 0)
+    with pytest.raises(ValueError, match="one channel"):
+        sample_paths(NOISY, params, batch, 4, 0)
+    with pytest.raises(ValueError, match="one channel"):
+        alternating_optimize(params, batch, restarts=1)
 
 
 def test_analytic_mse_monotone_in_channel_quality():
