@@ -40,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import ROLE_BASELINE, _coerce_seed, _noise_factors
-from .scheme import SchemeKind, _coerce_kind
+from .scheme import SchemeKind
 
 ARMIJO_SLOPE = 1e-4
 ARMIJO_SHRINK = 0.5
@@ -351,7 +351,7 @@ def alternating_optimize(params, channel, restarts=20, max_iters=4000,
         raise ValueError("tol must be > 0")
     if channel.P.ndim != 1:
         raise ValueError("the search runs one channel, not a (T, K) batch")
-    kind = _coerce_kind(kind)
+    kind = SchemeKind(kind)
     seed = _coerce_seed(seed)
     if kind is SchemeKind.FULL_STATE:
         form = _full_state_formulation(params, channel)

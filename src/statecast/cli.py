@@ -93,11 +93,11 @@ def _field_value(section, key, value, horizon):
     if isinstance(value, (list, tuple)):
         if len(value) != horizon:
             raise ConfigError(name, f"array must have length exactly {horizon}")
-        vals = []
-        for entry in value:
-            if not isinstance(entry, (int, float)) or isinstance(entry, bool):
-                raise ConfigError(name, "array entries must be numbers")
-            vals.append(float(entry))
+        # one check per distinct entry type, then one pass for finiteness
+        types = set(map(type, value))
+        if any(t is bool or not issubclass(t, (int, float)) for t in types):
+            raise ConfigError(name, "array entries must be numbers")
+        vals = list(value) if types == {float} else list(map(float, value))
         if not all(map(math.isfinite, vals)):
             raise ConfigError(name, "array entries must be finite")
         return vals
@@ -187,11 +187,10 @@ def parse_config(data):
         values = raw.get("values")
         if not isinstance(values, (list, tuple)) or not values:
             raise ConfigError("sweep.values", "must be a non-empty array of numbers")
-        vals = []
-        for entry in values:
-            if not isinstance(entry, (int, float)) or isinstance(entry, bool) or not math.isfinite(entry):
-                raise ConfigError("sweep.values", "entries must be finite numbers")
-            vals.append(float(entry))
+        try:
+            vals = _field_value("sweep", "values", values, len(values))
+        except ConfigError:
+            raise ConfigError("sweep.values", "entries must be finite numbers") from None
         sweep = {"field": field, "values": vals}
 
     return ExperimentConfig(horizon=horizon, system=system, channel=channel,
@@ -438,10 +437,7 @@ def main(argv=None):
         config = _apply_overrides(load_config(args.config), args)
         with np.errstate(all="ignore"):  # the renderer reports non-finite output
             text = _RUNNERS[args.command](config)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except ValueError as exc:
+    except ValueError as exc:  # ConfigError is a ValueError
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except NumericalError as exc:

@@ -21,9 +21,9 @@ The ``coupled_*`` names are kept as the stable public surface.
 The schedule loops run on Python floats read from and written to float64
 arrays.  For a batch of K channels (``ChannelParams`` of shape (T, K)) the
 receiver schedule runs the same loop body on (K,) rows, one per step.  The
-sample-path filters run time-major, one contiguous row per step.
-All second moments are taken about the deterministic mean path; estimators
-are affine around it.
+sample-path filters and the Monte Carlo pipeline in ``scheme`` advance rows
+of paths by the same step functions.  Second moments are taken about the
+deterministic mean path; estimators are affine around it.
 """
 
 from __future__ import annotations
@@ -129,6 +129,18 @@ def transmitter_gain_schedule(params):
                         pred_gain=J, filtered_error_var=fev)
 
 
+def _transmitter_step(params, schedule, t, p, gamma):
+    """xbreve(t) from gamma(t) on a row of paths; moves the one-step
+    predictor p to p(t+1) in place (it is not used past T)."""
+    ct, lt = params.c[t], schedule.L[t]
+    est = (1.0 - lt * ct) * p + lt * gamma
+    if t < params.horizon:
+        jt = schedule.pred_gain[t]
+        p *= params.a[t] - jt * ct
+        p += jt * gamma
+    return est
+
+
 def transmitter_filter(params, schedule, gamma):
     """Run the transmitter filter on one or many observation paths.
 
@@ -139,21 +151,9 @@ def transmitter_filter(params, schedule, gamma):
     T = params.horizon
     if gamma.shape[-1] != T + 1:
         raise ValueError(f"gamma must have {T + 1} entries, got {gamma.shape[-1]}")
-    xbar = mean_trajectory(params)
-    lead = (T + 1,) + (1,) * (gamma.ndim - 1)
-    # time-major centered observations; each row is overwritten by the estimate
-    rows = np.subtract(np.moveaxis(gamma, -1, 0), (params.c * xbar).reshape(lead),
-                       order="C")
-
-    a, c, L, J = params.a, params.c, schedule.L, schedule.pred_gain
-    p = np.zeros(rows.shape[1:])  # centered one-step predictor
-    for t in range(T + 1):
-        g = rows[t]
-        est = (1.0 - L[t] * c[t]) * p + L[t] * g
-        if t < T:
-            p = (a[t] - J[t] * c[t]) * p + J[t] * g
-        rows[t] = xbar[t] + est
-    return np.moveaxis(rows, 0, -1)
+    p = np.full(gamma.shape[:-1], params.x0)  # one-step predictor, p(0) = x0
+    out = [_transmitter_step(params, schedule, t, p, gamma[..., t]) for t in range(T + 1)]
+    return np.stack(out, axis=-1)
 
 
 def coupled_decoder_schedule(params, channel, gains=None):
@@ -198,6 +198,13 @@ def coupled_decoder_schedule(params, channel, gains=None):
     return CoupledDecoderSchedule(K=K, mse=mse, coef=coef)
 
 
+def _receiver_step(schedule, t, s, y):
+    """s(t+1) = m s(t) + g y(t) on a row of paths, in place, t = 1 .. T-1."""
+    mt, gt = schedule.coef[t - 1]
+    s *= mt
+    s += gt * y
+
+
 def coupled_decoder_filter(schedule, params, y):
     """Run the exact decoder on one or many received paths.
 
@@ -209,13 +216,9 @@ def coupled_decoder_filter(schedule, params, y):
     if y.shape[-1] != T:
         raise ValueError(f"y must have {T} entries, got {y.shape[-1]}")
     xbar = mean_trajectory(params)
-    rows = np.ascontiguousarray(np.moveaxis(y, -1, 0))  # time-major
-
-    xhat = np.empty(rows.shape)
-    s = np.zeros(rows.shape[1:])  # centered estimate of the predictor p(t+1)
-    xhat[0] = xbar[1] + s
+    s = np.zeros(y.shape[:-1])  # centered estimate of the predictor p(t+1)
+    xhat = [xbar[1] + s]
     for t in range(1, T):
-        m, g = schedule.coef[t - 1]
-        s = m * s + g * rows[t]
-        xhat[t] = xbar[t + 1] + s
-    return np.moveaxis(xhat, 0, -1)
+        _receiver_step(schedule, t, s, y[..., t])
+        xhat.append(xbar[t + 1] + s)
+    return np.stack(xhat, axis=-1)

@@ -38,6 +38,10 @@ ROLE_MEASUREMENT = 1
 ROLE_CHANNEL = 2
 ROLE_BASELINE = 3
 
+# Monte Carlo draws paths in blocks of this many rows, time-major (one row
+# per role and step); the constant fixes the mapping from a seed to draws.
+_BLOCK_ROWS = 2048
+
 
 def _as_readonly(arr):
     out = np.array(arr, dtype=float)
@@ -226,11 +230,14 @@ def state_variance(params):
     The initial state is a known constant, so sigma^2(0) = 0 and all
     second moments here are taken about the mean path.
     """
-    T = params.horizon
-    sig = np.empty(T + 1)
-    sig[0] = 0.0
-    for t in range(T):
-        sig[t + 1] = params.a[t] ** 2 * sig[t] + params.b[t] ** 2 * params.V[t, 0, 0]
+    sig = np.zeros(params.horizon + 1)
+    out, s = memoryview(sig), 0.0  # the loop runs on Python floats
+    try:
+        for t, at, bt, ww in zip(range(1, sig.size), memoryview(params.a),
+                                 memoryview(params.b), memoryview(params.V[:, 0, 0])):
+            s = out[t] = at ** 2 * s + bt ** 2 * ww
+    except OverflowError:  # float ** raises where the variance leaves double range
+        sig[t:] = np.inf
     return sig
 
 
@@ -240,9 +247,7 @@ def _noise_factors(params):
     Returns (l11, l21, l22) arrays of length T+1 such that
     (w, v) = (l11 u1, l21 u1 + l22 u2) for independent standard normals u1, u2.
     """
-    ww = params.V[:, 0, 0]
-    wv = params.V[:, 0, 1]
-    vv = params.V[:, 1, 1]
+    ww, wv, vv = params.V[:, 0, 0], params.V[:, 0, 1], params.V[:, 1, 1]
     l11 = np.sqrt(ww)
     with np.errstate(divide="ignore", invalid="ignore"):
         l21 = np.where(l11 > 0, wv / np.where(l11 > 0, l11, 1.0), 0.0)
@@ -255,25 +260,23 @@ def draw_noise(params, samples, rng_process, rng_measurement):
 
     Returns arrays of shape (samples, T+1); w(T) is drawn but never used by
     the plant.  Process and measurement deviates come from separate
-    generators so the roles stay independent and reproducible.
+    generators so the roles stay independent and reproducible.  Each fills
+    blocks of ``_BLOCK_ROWS`` paths time-major, one row per step, as Monte
+    Carlo consumes the streams; the arrays are views of (T+1, samples) ones.
     """
-    T = params.horizon
-    u1 = rng_process.standard_normal((samples, T + 1))
-    u2 = rng_measurement.standard_normal((samples, T + 1))
-    l11, l21, l22 = _noise_factors(params)
-    w = u1 * l11
-    v = u1 * l21 + u2 * l22
-    return w, v
+    u1, u2 = np.empty((2, params.horizon + 1, samples))
+    for start in range(0, samples, _BLOCK_ROWS):
+        block = slice(start, min(start + _BLOCK_ROWS, samples))
+        u1[:, block] = rng_process.standard_normal(u1[:, block].shape)
+        u2[:, block] = rng_measurement.standard_normal(u2[:, block].shape)
+    l11, l21, l22 = (f[:, None] for f in _noise_factors(params))
+    return (u1 * l11).T, (u1 * l21 + u2 * l22).T
 
 
-def _plant(params, w):
-    """State paths x, shape (samples, T+1), driven by process noise w."""
-    T = params.horizon
-    x = np.empty((w.shape[0], T + 1))
-    x[:, 0] = params.x0
-    for t in range(T):
-        x[:, t + 1] = params.a[t] * x[:, t] + params.b[t] * w[:, t]
-    return x
+def _plant_step(at, bt, x, w, out):
+    """x(t+1) = a(t) x(t) + b(t) w(t) on a row of paths, written to ``out``."""
+    np.multiply(x, at, out=out)
+    out += bt * w
 
 
 def paths_from_noise(params, w, v):
@@ -282,5 +285,8 @@ def paths_from_noise(params, w, v):
     ``w`` and ``v`` have shape (samples, T+1) (only w(0..T-1) is used).
     Returns (x, gamma) with shape (samples, T+1).
     """
-    x = _plant(params, w)
-    return x, params.c * x + params.d * v
+    x = np.empty((params.horizon + 1, w.shape[0]))  # time-major
+    x[0] = params.x0
+    for t, (at, bt) in enumerate(zip(params.a, params.b)):
+        _plant_step(at, bt, x[t], w[:, t], out=x[t + 1])
+    return x.T, params.c * x.T + params.d * v

@@ -13,9 +13,9 @@ FullState is NoisyState with a noiseless sensor (c = 1, d = 0, V_vv = V_wv =
 0): the filter then returns the state itself.  Both schemes therefore run one
 pipeline — transmitter filter, power scaling, exact decoder — and differ only
 in the parameters handed to it.  The decoder keeps one scalar state, its
-estimate of the transmitter's one-step predictor (``kalman``).  Sampled
-FullState paths skip the v draw and the filter (gamma = xbreve = x), and Monte
-Carlo statistics stream over blocks of paths: memory bounded in n and T.
+estimate of the transmitter's one-step predictor (``kalman``).  Monte Carlo
+makes one pass over t per block of paths, reducing each step at once: memory
+bounded in n and T.  FullState paths skip the v draw and the filter.
 
 Known means are handled deterministically: encoders scale deviations from the
 mean path and decoders add the mean back, so the power budget is spent
@@ -26,22 +26,13 @@ with scaling the raw state.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import kalman
-from .model import (
-    ROLE_CHANNEL,
-    ROLE_MEASUREMENT,
-    ROLE_PROCESS,
-    _coerce_seed,
-    _noise_factors,
-    _plant,
-    draw_noise,
-    mean_trajectory,
-    paths_from_noise,
-)
+from .model import (_BLOCK_ROWS, ROLE_CHANNEL, ROLE_MEASUREMENT, ROLE_PROCESS, SystemParams,
+                    _coerce_seed, _noise_factors, _plant_step, mean_trajectory)
 
 
 class SchemeKind(enum.Enum):
@@ -75,7 +66,7 @@ class SchemeSamples:
     Shapes: x, gamma and xbreve are (samples, T+1); z, y, xhat are
     (samples, T) with y[:, 0] = 0 and column i of z / xhat at time t = i+1.
     FullState runs behind a noiseless sensor: gamma and xbreve are the array
-    x.  ``monte_carlo_mse`` streams such blocks of paths and keeps none.
+    x.  These are the rows ``monte_carlo_mse`` reduces step by step.
     """
 
     x: np.ndarray
@@ -86,19 +77,12 @@ class SchemeSamples:
     xhat: np.ndarray
 
 
-def _coerce_kind(kind):
-    if isinstance(kind, SchemeKind):
-        return kind
-    return SchemeKind(kind)
-
-
 def _scheme_params(kind, params):
-    # FullState is the filtered scheme behind a noiseless sensor gamma = x.
-    if _coerce_kind(kind) is SchemeKind.NOISY_STATE:
-        return params
-    V = params.V.copy()
-    V[:, 0, 1] = V[:, 1, 0] = V[:, 1, 1] = 0.0
-    return replace(params, c=1.0, d=0.0, V=V)
+    # FullState is the filtered scheme behind a noiseless sensor gamma = x
+    if SchemeKind(kind) is SchemeKind.FULL_STATE:
+        params = SystemParams.make(params.horizon, params.a, params.b, c=1.0, d=0.0,
+                                   V_ww=params.V[:, 0, 0], x0=params.x0)
+    return params, kalman.transmitter_gain_schedule(params)
 
 
 def analytic_mse(kind, params, channel):
@@ -108,8 +92,7 @@ def analytic_mse(kind, params, channel):
     FullState runs them behind a noiseless sensor.  A (T, K) channel batch
     shares one transmitter schedule and yields one column per channel.
     """
-    params = _scheme_params(kind, params)
-    gains = kalman.transmitter_gain_schedule(params)
+    params, gains = _scheme_params(kind, params)
     mse = kalman.coupled_decoder_schedule(params, channel, gains).mse
     # P.T puts time last, so the (T,) mask broadcasts over a (T, K) batch
     power = np.where(gains.sigma_breve_sq[1:] > 0, channel.P.T, 0.0).T
@@ -119,82 +102,92 @@ def analytic_mse(kind, params, channel):
                      power_used=power)
 
 
-def _block_rows(T):
-    # about 1 MB per (rows, T+1) float64 array: memory bounded in T and in n
-    return max(1, 2**20 // (8 * (T + 1)))
+def _pipeline(kind, params, channel, samples, seed):
+    """Time-major Monte Carlo over blocks of ``_BLOCK_ROWS`` paths: returns
+    the receiver schedule and a generator of steps t = 0 .. T per block.
 
-
-def _sample_blocks(kind, params, channel, samples, seed, rows):
-    """Yield SchemeSamples for consecutive blocks of at most ``rows`` paths.
-
-    Each role stream continues across blocks, so stacked blocks are the
-    paths of one block of ``samples`` rows, bit for bit.
+    Each role stream draws one row per step and continues across blocks;
+    plant, transmitter predictor and receiver state advance in place.  A
+    step yields the block's slice of the paths, t and the rows x, gamma,
+    xbreve, z, y, xhat at t, valid until the next step (None where undefined).
     """
-    full = _coerce_kind(kind) is SchemeKind.FULL_STATE
-    params = _scheme_params(kind, params)
     if samples < 1:
         raise ValueError("samples must be >= 1")
     if channel.P.ndim != 1:
         raise ValueError("Monte Carlo runs one channel, not a (T, K) batch")
-    T = params.horizon
-    gains = kalman.transmitter_gain_schedule(params)
-    k = kalman.power_scale(gains.sigma_breve_sq, channel)
-    xbar = mean_trajectory(params)
+    full = SchemeKind(kind) is SchemeKind.FULL_STATE
+    params, gains = _scheme_params(kind, params)
     schedule = kalman.coupled_decoder_schedule(params, channel, gains)
+    T, xbar, k, sd = params.horizon, mean_trajectory(params), schedule.K, np.sqrt(channel.N)
+    l11, l21, l22 = _noise_factors(params)
     rng_w, rng_v, rng_n = (_coerce_seed(seed).stream(role) for role in
                            (ROLE_PROCESS, ROLE_MEASUREMENT, ROLE_CHANNEL))
-    sd, w_sd = np.sqrt(channel.N), _noise_factors(params)[0]
 
-    def block(m):
-        if full:  # the noiseless sensor reads no v and the filter returns x
-            x = gamma = xbreve = _plant(params, rng_w.standard_normal((m, T + 1)) * w_sd)
-        else:
-            x, gamma = paths_from_noise(params, *draw_noise(params, m, rng_w, rng_v))
-            xbreve = kalman.transmitter_filter(params, gains, gamma)
-        z = k * (xbreve[:, 1:] - xbar[1:])
-        y = np.zeros_like(z)
-        y[:, 1:] = z[:, :-1] + (rng_n.standard_normal((m, T)) * sd)[:, :-1]
-        xhat = kalman.coupled_decoder_filter(schedule, params, y)
-        return SchemeSamples(x=x, gamma=gamma, xbreve=xbreve, z=z, y=y, xhat=xhat)
+    def steps():  # each role stream continues across blocks
+        for start in range(0, samples, _BLOCK_ROWS):
+            rows = slice(start, min(start + _BLOCK_ROWS, samples))
+            u1, u2, n, s = np.zeros((4, rows.stop - start))
+            x, p = np.full((2, u1.size), params.x0)
+            z = y = xhat = None
+            for t in range(T + 1):
+                rng_w.standard_normal(out=u1)
+                if full:  # the noiseless sensor reads no v and the filter returns x
+                    gamma = xbreve = x
+                else:
+                    rng_v.standard_normal(out=u2)
+                    gamma = params.c[t] * x + params.d[t] * (u1 * l21[t] + u2 * l22[t])
+                    xbreve = kalman._transmitter_step(params, gains, t, p, gamma)
+                if t:
+                    z, xhat, y = k[t - 1] * (xbreve - xbar[t]), xbar[t] + s, None
+                    if t < T:
+                        rng_n.standard_normal(out=n)
+                        y = z + n * sd[t - 1]
+                        kalman._receiver_step(schedule, t, s, y)
+                yield rows, t, x, gamma, xbreve, z, y, xhat
+                if t < T:
+                    _plant_step(params.a[t], params.b[t], x, u1 * l11[t], out=x)
 
-    for start in range(0, samples, rows):
-        yield block(min(rows, samples - start))
+    return schedule, steps()
 
 
 def sample_paths(kind, params, channel, samples, seed):
-    """Run the full pipeline (simulate, encode, channel, decode) per sample.
-
-    Returns one block of all paths; ``monte_carlo_mse`` streams them in blocks."""
-    return next(_sample_blocks(kind, params, channel, samples, seed, samples))
+    """Run the full pipeline (simulate, encode, channel, decode) per sample:
+    every path of the time-major pipeline that ``monte_carlo_mse`` reduces."""
+    full = SchemeKind(kind) is SchemeKind.FULL_STATE
+    steps = _pipeline(kind, params, channel, samples, seed)[1]
+    T = channel.horizon
+    x, z, y, xhat = np.zeros((4, T + 1, samples))  # time-major
+    gamma, xbreve = (x, x) if full else np.zeros((2, T + 1, samples))
+    for rows, t, *values in steps:
+        for path, value in zip((x, gamma, xbreve, z, y, xhat), values):
+            if value is not None:
+                path[t, rows] = value
+    x, gamma, xbreve = (x.T,) * 3 if full else (x.T, gamma.T, xbreve.T)
+    return SchemeSamples(x=x, gamma=gamma, xbreve=xbreve, z=z.T[:, 1:], y=y.T[:, :T],
+                         xhat=xhat.T[:, 1:])
 
 
 def monte_carlo_mse(kind, params, channel, samples, seed):
     """Empirical per-step MSE, its standard error, and empirical power.
 
-    Streams over blocks of paths: per-step sums of the squared error and of
-    z(t)^2, and per-block (mean, M2) pairs of the squared error merged by the
-    pairwise update of Chan, Golub & LeVeque (1979).
+    Reduces each pipeline step at once: the block's sum and two-pass M2 of
+    the squared error, merged by the pairwise update of Chan, Golub & LeVeque
+    (1979), and the sum of z(t)^2.  The analytic columns are the pipeline's
+    receiver schedule.  Memory is bounded in n and T apart from O(T) columns.
     """
-    T = params.horizon
-    n, sum_e, sum_z, m2 = 0, np.zeros(T), np.zeros(T), np.zeros(T)
-    for runs in _sample_blocks(kind, params, channel, samples, seed, _block_rows(T)):
-        e = (runs.x[:, 1:] - runs.xhat) ** 2
-        m, block_sum = e.shape[0], e.sum(axis=0)
-        delta = block_sum / m - sum_e / max(n, 1)
-        m2 += ((e - block_sum / m) ** 2).sum(axis=0) + delta**2 * (n * m / (n + m))
-        sum_e += block_sum
-        sum_z += (runs.z**2).sum(axis=0)
-        n += m
-        del runs, e  # release the block before the next one is drawn
-    analytic = analytic_mse(kind, params, channel)
-    mse_emp = sum_e / n
-    return RunResult(
-        mse_analytic=analytic.mse_analytic,
-        avg_mse_analytic=analytic.avg_mse_analytic,
-        power_used=sum_z / n,
-        samples=n,
-        mse_empirical=mse_emp,
-        # a single path has m2 = 0 exactly, so its standard error is 0
-        stderr=np.sqrt(m2 / max(n - 1, 1)) / np.sqrt(n),
-        avg_mse_empirical=float(np.mean(mse_emp)),
-    )
+    schedule, steps = _pipeline(kind, params, channel, samples, seed)
+    sums = np.zeros((3, channel.horizon + 1))  # per t: sum and M2 of e, sum of z^2
+    for rows, t, x, _, _, z, _, xhat in steps:
+        if t:
+            n, m = rows.start, rows.stop - rows.start
+            e = (x - xhat) ** 2
+            block = e.sum()
+            e -= block / m
+            delta = block / m - sums[0, t] / max(n, 1)
+            sums[:, t] += (block, e @ e + delta * delta * (n * m / (n + m)), z @ z)
+    mse_emp, var, power = sums[:, 1:] / [[samples], [max(samples - 1, 1)], [samples]]
+    return RunResult(mse_analytic=schedule.mse, avg_mse_analytic=float(np.mean(schedule.mse)),
+                     power_used=power, samples=samples, mse_empirical=mse_emp,
+                     # a single path has M2 = 0 exactly, so its standard error is 0
+                     stderr=np.sqrt(var) / np.sqrt(samples),
+                     avg_mse_empirical=float(np.mean(mse_emp)))

@@ -168,6 +168,13 @@ def test_negative_overrides_rejected(tmp_path, capsys):
                  id="inf-system.a"),
     pytest.param(lambda d: d["system"].update(a=[0.9, -math.inf]), "system.a",
                  id="inf-entry-system.a"),
+    # array entries must be numbers: no bools, strings or nested arrays
+    pytest.param(lambda d: d["system"].update(a=[0.9, True]), "system.a",
+                 id="bool-entry-system.a"),
+    pytest.param(lambda d: d["channel"].update(P=[1.0, "1"]), "channel.P",
+                 id="str-entry-channel.P"),
+    pytest.param(lambda d: d["channel"].update(N=[[2.0], 2.0]), "channel.N",
+                 id="list-entry-channel.N"),
 ])
 def test_config_errors_name_the_field(tmp_path, capsys, mangle, field):
     data = json.loads(json.dumps(BASE))

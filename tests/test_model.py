@@ -11,6 +11,7 @@ from statecast import (
     paths_from_noise,
     state_variance,
 )
+from statecast.model import _BLOCK_ROWS
 
 
 def test_state_variance_worked_example():
@@ -26,6 +27,16 @@ def test_state_variance_zero_horizon_start():
     # from a zero start with constant coefficients the schedule is monotone
     assert np.all(np.diff(sig) >= 0)
     assert np.all(np.isfinite(sig))
+    # time-varying a, b and V_ww: the same recursion on numpy scalars, to 0 ulp
+    # (x * x and x ** 2 differ in the last bit for about 1 in 1,000 doubles)
+    rng = np.random.default_rng(3)
+    T = 5000
+    params = SystemParams.make(T, a=rng.uniform(-1.3, 1.3, T), b=rng.uniform(0.0, 2.0, T),
+                               V_ww=rng.uniform(0.0, 3.0, T + 1))
+    ref = np.zeros(T + 1)
+    for t in range(T):
+        ref[t + 1] = params.a[t] ** 2 * ref[t] + params.b[t] ** 2 * params.V[t, 0, 0]
+    assert np.array_equal(state_variance(params), ref)
 
 
 def test_state_variance_matches_monte_carlo():
@@ -116,18 +127,30 @@ def test_role_streams_are_independent():
 
 
 def test_block_draws_equal_one_shot_draws():
-    # Monte Carlo draws its paths in row blocks from one generator per role;
-    # consecutive blocks must stack to the one-shot draw, bit for bit.
+    # Monte Carlo draws its paths in blocks of B rows, time-major, from one
+    # generator per role; draws cut at multiples of B must stack to the
+    # one-shot draw, bit for bit.
+    B = _BLOCK_ROWS
     params = SystemParams.make(6, a=0.9, c=1.0, d=0.5, V_vv=1.0, V_wv=0.3)
     seed = RngSeed(21)
-    w, v = draw_noise(params, 23, seed.stream(0), seed.stream(1))
-    n = seed.stream(2).standard_normal((23, 6))
-    rng_w, rng_v, rng_n = seed.stream(0), seed.stream(1), seed.stream(2)
-    blocks = [(draw_noise(params, m, rng_w, rng_v), rng_n.standard_normal((m, 6)))
-              for m in (1, 7, 10, 5)]
-    assert np.array_equal(np.vstack([wv[0] for wv, _ in blocks]), w)
-    assert np.array_equal(np.vstack([wv[1] for wv, _ in blocks]), v)
-    assert np.array_equal(np.vstack([nb for _, nb in blocks]), n)
+    w, v = draw_noise(params, 3 * B + 5, seed.stream(0), seed.stream(1))
+    rng_w, rng_v = seed.stream(0), seed.stream(1)
+    pieces = [draw_noise(params, m, rng_w, rng_v) for m in (B, 2 * B, 5)]
+    assert np.array_equal(np.vstack([wv[0] for wv in pieces]), w)
+    assert np.array_equal(np.vstack([wv[1] for wv in pieces]), v)
+    # V_ww = 1, so w is the process stream itself: each block holds the
+    # stream's next (T+1) m deviates, one row of the block per step
+    stream = seed.stream(0).standard_normal(7 * (3 * B + 5))
+    blocks = [w[start:start + B].T.ravel() for start in range(0, 3 * B + 5, B)]
+    assert np.array_equal(np.concatenate(blocks), stream)
+    # a stream filled one row per step, as the pipeline draws the channel
+    # noise, continues across blocks in the same order
+    rng_n, row, rows = seed.stream(2), np.empty(B), []
+    for m in (B, B, 5):
+        for _ in range(5):
+            rng_n.standard_normal(out=row[:m])
+            rows.append(row[:m].copy())
+    assert np.array_equal(np.concatenate(rows), seed.stream(2).standard_normal(5 * (2 * B + 5)))
 
 
 def test_draw_noise_joint_covariance():

@@ -22,7 +22,7 @@ from statecast import (
     transmitter_filter,
     transmitter_gain_schedule,
 )
-from statecast.scheme import _block_rows
+from statecast.model import _BLOCK_ROWS
 
 from oracles import decimal_receiver_mse
 
@@ -55,12 +55,15 @@ def _encode(params, channel, gamma):
     (NOISY, SystemParams.make(6, a=0.9, c=1.2, d=0.6, V_vv=1.0, V_wv=0.3, x0=1.5)),
 ], ids=["full", "noisy_correlated"])
 def test_sample_paths_transmit_the_encoded_estimate(kind, params):
-    # the sampled pipeline sends exactly what _encode computes from its gamma
+    # the sampled pipeline sends exactly what _encode computes from its gamma,
+    # within a block of B paths and across block boundaries
     channel = ChannelParams.make(6, P=np.linspace(0.5, 2.0, 6), N=0.5)
-    runs = sample_paths(kind, params, channel, 9, 11)
-    z, xbreve = _encode(params, channel, runs.gamma)
-    assert np.array_equal(runs.z, z)
-    assert np.array_equal(runs.xbreve, xbreve)
+    B = _BLOCK_ROWS
+    for samples in (9, B - 1, B, B + 1, 2 * B + 3):
+        runs = sample_paths(kind, params, channel, samples, 11)
+        z, xbreve = _encode(params, channel, runs.gamma)
+        assert np.array_equal(runs.z, z)
+        assert np.array_equal(runs.xbreve, xbreve)
 
 
 # SystemParams.make defaults to a noiseless sensor (c=1, d=0, V_vv=0): there
@@ -227,10 +230,10 @@ def test_monte_carlo_high_power_limit():
                               V_wv=0.3, x0=2.5)),
 ], ids=["full", "noisy_correlated"])
 def test_monte_carlo_blocks_match_one_shot_statistics(kind, params):
-    # monte_carlo_mse streams blocks of B rows; sample_paths returns the same
-    # paths in one block, so the statistics must agree to summation order
+    # monte_carlo_mse reduces blocks of B rows step by step; sample_paths
+    # returns the same paths, so the statistics must agree to summation order
     channel = ChannelParams.make(40, P=1.2, N=0.5)
-    B = _block_rows(40)
+    B = _BLOCK_ROWS
     for samples in (1, 7, B - 1, B, B + 1, 2 * B + 3):
         res = monte_carlo_mse(kind, params, channel, samples, 17)
         runs = sample_paths(kind, params, channel, samples, 17)
@@ -399,13 +402,38 @@ def test_analytic_mse_monotone_in_channel_quality():
 
 def test_sample_paths_y_convention():
     params = SystemParams.make(3, a=0.9)
+    noisy = SystemParams.make(3, a=0.9, c=1.0, d=0.6, V_vv=1.0, V_wv=0.3, x0=1.5)
     channel = ChannelParams.make(3, P=1.0, N=1.0)
-    runs = sample_paths(FULL, params, channel, 10, 9)
-    assert np.all(runs.y[:, 0] == 0.0)
-    assert runs.z.shape == (10, 3)
-    # FullState draws no measurement noise: its plant is the one draw_noise
-    # drives, and gamma and xbreve are x itself
-    seed = RngSeed(9)
-    x, _ = paths_from_noise(params, *draw_noise(params, 10, seed.stream(0), seed.stream(1)))
-    assert np.array_equal(runs.x, x)
-    assert runs.gamma is runs.x and runs.xbreve is runs.x
+    B = _BLOCK_ROWS
+    for samples in (10, B - 1, B, B + 1, 2 * B + 3):
+        runs = sample_paths(FULL, params, channel, samples, 9)
+        assert np.all(runs.y[:, 0] == 0.0)
+        assert runs.z.shape == (samples, 3)
+        # FullState draws no measurement noise: its plant is the one draw_noise
+        # drives, and gamma and xbreve are x itself
+        seed = RngSeed(9)
+        x, _ = paths_from_noise(params, *draw_noise(params, samples, seed.stream(0),
+                                                    seed.stream(1)))
+        assert np.array_equal(runs.x, x)
+        assert runs.gamma is runs.x and runs.xbreve is runs.x
+        # NoisyState observes the plant through draw_noise's (w, v)
+        runs = sample_paths(NOISY, noisy, channel, samples, 9)
+        x, gamma = paths_from_noise(noisy, *draw_noise(noisy, samples, seed.stream(0),
+                                                       seed.stream(1)))
+        assert np.all(runs.y[:, 0] == 0.0)
+        assert np.array_equal(runs.x, x) and np.array_equal(runs.gamma, gamma)
+
+
+@pytest.mark.parametrize("kind,params", [
+    (FULL, SystemParams.make(30, a=np.linspace(0.7, 1.05, 30), b=1.3, x0=-3.7)),
+    (NOISY, SystemParams.make(30, a=0.9, c=1.0, d=0.6, V_ww=1.0, V_vv=1.0,
+                              V_wv=0.3, x0=2.5)),
+], ids=["full", "noisy_correlated"])
+def test_monte_carlo_analytic_columns_are_analytic_mse(kind, params):
+    # the analytic columns come from the receiver schedule the samples ran on
+    channel = ChannelParams.make(30, P=np.linspace(0.5, 2.0, 30), N=0.5)
+    want = analytic_mse(kind, params, channel)
+    got = monte_carlo_mse(kind, params, channel, 50, 4)
+    assert np.array_equal(got.mse_analytic, want.mse_analytic)
+    assert got.avg_mse_analytic == want.avg_mse_analytic
+    assert type(got.avg_mse_analytic) is float
