@@ -19,7 +19,10 @@ power budget is a sphere, by L-BFGS on the product of spheres (Absil, Mahony
 & Sepulchre, Optimization Algorithms on Matrix Manifolds, 2008), from many
 random restarts.  The problem is nonconvex: the result is the best local
 optimum found, and ``converged`` says whether its tangent (KKT) residual
-met the tolerance (see ``alternating_optimize``).
+met the tolerance (see ``alternating_optimize``).  The restarts descend in
+lock-step, in blocks of ``_BLOCK_RESTARTS``: each round every live restart
+evaluates one trial point, and the whole block shares one batched decoder
+solve; each restart's path is the one it would take alone.
 
 Row z(T) reaches no estimate inside the horizon, so the objective never
 reads it; the search returns that row as its random start drew it, scaled
@@ -50,6 +53,8 @@ LBFGS_MEMORY = 10
 FIRST_ANGLE = 0.1        # radians; first trial of a steepest-descent step
 ROUNDING = 1e-13         # relative objective noise tolerated by a step
 CURVATURE_FLOOR = 1e-10  # smallest accepted cos(s, y) of an L-BFGS pair
+
+_BLOCK_RESTARTS = 32     # restarts per lock-step block; bounds the L-BFGS history
 
 
 @dataclass(frozen=True)
@@ -126,37 +131,42 @@ class _Formulation:
 
     def loss(self, U, D):
         """Objective and its gradient in U for channel inputs z = U u and
-        decoder weights D (see ``decoder``)."""
+        decoder weights D (see ``decoder``); U and D may be stacks."""
         T = self.Hx.shape[0]
-        resid = self.Hx - D.T @ U
-        J = (np.sum(resid**2) + np.sum(D**2 * self.N[:, None])) / T
+        resid = self.Hx - D.swapaxes(-1, -2) @ U
+        J = (np.sum(resid**2, axis=(-2, -1))
+             + np.sum(D**2 * self.N[:, None], axis=(-2, -1))) / T
         return J, (-2.0 / T) * D @ resid
 
     def objective(self, G, F):
         return self.loss(G @ self.Hin, _shift_cols(F).T)[0]
 
     def decoder(self, U):
-        """Exact decoder for the channel inputs z = U u.
+        """Exact decoder for the channel inputs z = U u (or each of a stack).
 
-        Returns D with D[i, j] the weight of y(i+1) in the estimate of x(j+1)
-        (zero unless i < j).  One Cholesky factor L of the output Gram matrix
-        serves every row: the leading blocks of L factor the leading blocks
-        of the Gram matrix, so B = L^-1 Cov(y, x) cut to i < j and D =
-        L^-T B solve all the prefix regressions at once.  A Gram matrix that
-        is singular in floating point falls back to row-wise pseudoinverses.
+        Returns D with D[..., i, j] the weight of y(i+1) in the estimate of
+        x(j+1) (zero unless i < j).  One Cholesky factor L of the output Gram
+        matrix serves every row: the leading blocks of L factor the leading
+        blocks of the Gram matrix, so B = L^-1 Cov(y, x) cut to i < j and
+        D = L^-T B solve all the prefix regressions at once.  L^-T, the
+        inverse of a triangular matrix, is exactly triangular, so D is
+        exactly causal.  A Gram matrix that is singular in floating point
+        falls back to row-wise pseudoinverses, for its own slice only.
         """
         T = self.Hx.shape[0]
-        gram = U @ U.T + np.diag(self.N)
+        gram = U @ U.swapaxes(-1, -2) + np.diag(self.N)
         cyx = U @ self.Hx.T
         try:
-            L = np.linalg.cholesky(gram)
+            Lit = np.linalg.inv(np.linalg.cholesky(gram).swapaxes(-1, -2))
         except np.linalg.LinAlgError:
+            if U.ndim > 2:
+                return np.stack([self.decoder(u) for u in U])
             D = np.zeros((T, T))
             for j in range(1, T):
                 sub = np.linalg.pinv(gram[:j, :j], rcond=PINV_RCOND, hermitian=True)
                 D[:j, j] = sub @ cyx[:j, j]
             return D
-        return np.linalg.solve(L.T, np.triu(np.linalg.solve(L, cyx), 1))
+        return Lit @ np.triu(Lit.swapaxes(-1, -2) @ cyx, 1)
 
     def optimal_F(self, G):
         # Row t regresses x(t) on y(1..t-1); the y(0) slot stays zero.
@@ -239,7 +249,7 @@ class _Spheres:
         return G
 
     def evaluate(self, x):
-        """Objective and its gradient along the spheres."""
+        """Objective and its gradient along the spheres (``x`` may be a stack)."""
         U = (self.radius * x) @ self.Q
         J, grad_U = self.form.loss(U, self.form.decoder(U))
         grad = self.radius * (grad_U @ self.Q.T) * self.live
@@ -248,81 +258,108 @@ class _Spheres:
 
 def _tangent(x, v):
     # Component of v tangent to the unit row spheres at x.
-    return v - np.sum(v * x, axis=1, keepdims=True) * x
+    return v - np.sum(v * x, axis=-1, keepdims=True) * x
 
 
 def _retract(x):
-    norm = np.linalg.norm(x, axis=1, keepdims=True)
+    norm = np.linalg.norm(x, axis=-1, keepdims=True)
     return x / np.where(norm > 0, norm, 1.0)
 
 
-def _lbfgs_direction(grad, pairs):
-    """L-BFGS two-loop recursion; ``pairs`` hold (s, y, 1 / s.y), oldest first.
+def _dot(a, b):
+    # Inner product of each slice of two stacks of rows.
+    return np.einsum("...ij,...ij->...", a, b)
 
+
+def _lbfgs_direction(grad, S, Y, rho, head):
+    """L-BFGS two-loop recursion for a stack of restarts.
+
+    The histories S, Y are (R, m, T, W) rings with next free slot ``head``;
+    rho = 1 / s.y, and empty slots hold zeros.  Each loop's coefficients
+    depend on the earlier ones only through the products s_i.y_j, so each
+    loop is one solve over the m slots, unit-triangular once sorted by age.
     The initial inverse Hessian is the secant scale s.y / y.y of the newest
-    pair taken per row, because the curvature can differ between rows by
-    orders of magnitude; a row without positive curvature takes the global
-    scale.
+    pair per row, because the curvature can differ between rows by orders of
+    magnitude; a row without positive curvature takes the global scale.
     """
-    q = grad.copy()
-    alphas = []
-    for s, y, rho in reversed(pairs):
-        alpha = rho * np.vdot(s, q)
-        q -= alpha * y
-        alphas.append(alpha)
-    s, y, _ = pairs[-1]
-    sy, yy = np.sum(s * y, axis=1), np.sum(y * y, axis=1)
-    ok = (sy > 0) & (yy > 0)
-    q *= np.where(ok, sy / np.where(ok, yy, 1.0), np.vdot(s, y) / np.vdot(y, y))[:, None]
-    for (s, y, rho), alpha in zip(pairs, reversed(alphas)):
-        q += (alpha - rho * np.vdot(y, q)) * s
-    return -q
+    R, m = rho.shape
+    age = (head[:, None] - 1 - np.arange(m)) % m
+    s, y, g = S.reshape(R, m, -1), Y.reshape(R, m, -1), grad.reshape(R, -1, 1)
+    # newer[:, i, j] = s_i.y_j where pair j is newer than pair i, else 0
+    newer = (s @ y.swapaxes(-1, -2)) * (age[:, None, :] < age[:, :, None])
+    w = rho[:, :, None]
+    alpha = np.linalg.solve(np.eye(m) + w * newer, w * (s @ g))
+    q = (g - y.swapaxes(-1, -2) @ alpha).reshape(grad.shape)
+    s0, y0 = S[np.arange(R), (head - 1) % m], Y[np.arange(R), (head - 1) % m]
+    sr, yr = np.sum(s0 * y0, axis=-1), np.sum(y0 * y0, axis=-1)
+    ok, yy = (sr > 0) & (yr > 0), np.sum(yr, axis=-1)
+    scale = np.divide(np.sum(sr, axis=-1), yy, out=np.zeros(R), where=yy > 0)
+    r = (q * np.where(ok, sr / np.where(ok, yr, 1.0), scale[:, None])[..., None]).reshape(g.shape)
+    coef = np.linalg.solve(np.eye(m) + w * newer.swapaxes(-1, -2), alpha - w * (y @ r))
+    return -(r + s.swapaxes(-1, -2) @ coef).reshape(grad.shape)
 
 
 def _descend(spheres, x, max_iters, tol):
-    """Riemannian L-BFGS with backtracking from unit rows ``x``.
+    """Riemannian L-BFGS with backtracking, in lock-step, from a stack of
+    unit rows ``x`` (one restart per slice).
 
-    Returns the final rows, their objective J and their tangent residual
-    ||grad|| / J.  A step is accepted on the Armijo condition or, once
-    objective differences sink to rounding, on its derivative form at the
-    new point.  The search stops when the residual meets ``tol``, after
-    ``max_iters`` iterations, or when no steepest-descent step makes
-    progress.
+    Returns the final rows (``x``, updated in place), their objectives J and
+    their tangent residuals ||grad|| / J.  Each round, every restart that
+    begins an iteration applies the stop rules and takes its direction, and
+    then every live restart evaluates one trial point in one batched
+    ``evaluate``; no restart reads another's numbers.  A step is accepted on
+    the Armijo condition or, once objective differences sink to rounding, on
+    its derivative form at the new point.  A restart stops when its residual
+    meets ``tol``, after ``max_iters`` iterations, or when no steepest-descent
+    step makes progress.
     """
+    R = x.shape[0]
     J, grad = spheres.evaluate(x)
-    pairs = []
-    for _ in range(max_iters):
-        gnorm = np.sqrt(np.vdot(grad, grad))
-        if gnorm <= tol * J:
+    S, Y = np.zeros((2, R, LBFGS_MEMORY) + x.shape[1:])
+    d, rho, slope, step = np.zeros_like(x), np.zeros((R, LBFGS_MEMORY)), np.zeros(R), np.ones(R)
+    head, iters = np.zeros(R, dtype=int), np.zeros(R, dtype=int)
+    done, begin = np.zeros(R, dtype=bool), np.ones(R, dtype=bool)
+    while True:
+        i = np.flatnonzero(begin)
+        begin[i] = False
+        gnorm = np.sqrt(_dot(grad[i], grad[i]))
+        stop = (iters[i] >= max_iters) | (gnorm <= tol * J[i])
+        done[i[stop]] = True
+        i, gnorm = i[~stop], gnorm[~stop]
+        iters[i] += 1
+        fresh = ~rho[i].any(axis=1)
+        k = i[~fresh]
+        if k.size:
+            d[k] = _tangent(x[k], _lbfgs_direction(grad, S, Y, rho, head)[k])
+            slope[k] = _dot(grad[k], d[k])
+        steep = fresh | (slope[i] >= 0.0)
+        j = i[steep]
+        S[j] = Y[j] = rho[j] = 0.0
+        d[j] = grad[j] * (-FIRST_ANGLE / gnorm[steep])[:, None, None]
+        slope[j], step[i] = _dot(grad[j], d[j]), 1.0
+        live = np.flatnonzero(~done)
+        if not live.size:
             break
-        slope = 0.0
-        if pairs:
-            d = _tangent(x, _lbfgs_direction(grad, pairs))
-            slope = np.vdot(grad, d)
-        if slope >= 0.0:
-            pairs = []
-            d = -grad * (FIRST_ANGLE / gnorm)
-            slope = np.vdot(grad, d)
-        step = 1.0
-        while step > MIN_STEP:
-            x_new = _retract(x + step * d)
-            J_new, grad_new = spheres.evaluate(x_new)
-            if (J_new <= J + ARMIJO_SLOPE * step * slope
-                    or (J_new <= J * (1.0 + ROUNDING)
-                        and np.vdot(grad_new, d) <= (2.0 * ARMIJO_SLOPE - 1.0) * slope)):
-                break
-            step *= ARMIJO_SHRINK
-        else:
-            if not pairs:
-                break
-            pairs = []
-            continue
-        s, y = x_new - x, grad_new - grad
-        sy = np.vdot(s, y)
-        if sy > CURVATURE_FLOOR * np.sqrt(np.vdot(s, s) * np.vdot(y, y)):
-            pairs = pairs[1 - LBFGS_MEMORY:] + [(s, y, 1.0 / sy)]
-        x, J, grad = x_new, J_new, grad_new
-    return x, J, (np.sqrt(np.vdot(grad, grad)) / J if J > 0 else 0.0)
+        x_new = _retract(x[live] + step[live, None, None] * d[live])
+        J_new, grad_new = spheres.evaluate(x_new)
+        ok = ((J_new <= J[live] + ARMIJO_SLOPE * step[live] * slope[live])
+              | ((J_new <= J[live] * (1.0 + ROUNDING))
+                 & (_dot(grad_new, d[live]) <= (2.0 * ARMIJO_SLOPE - 1.0) * slope[live])))
+        a, b = live[ok], live[~ok]
+        s, y = x_new[ok] - x[a], grad_new[ok] - grad[a]
+        sy = _dot(s, y)
+        pair = sy > CURVATURE_FLOOR * np.sqrt(_dot(s, s) * _dot(y, y))
+        p, slot = a[pair], head[a[pair]]
+        S[p, slot], Y[p, slot], rho[p, slot] = s[pair], y[pair], 1.0 / sy[pair]
+        head[p] = (slot + 1) % LBFGS_MEMORY
+        x[a], J[a], grad[a] = x_new[ok], J_new[ok], grad_new[ok]
+        step[b] *= ARMIJO_SHRINK
+        b = b[step[b] <= MIN_STEP]  # failed searches: stop, or retry without history
+        done[b[~rho[b].any(axis=1)]] = True
+        b = b[~done[b]]
+        rho[b] = 0.0
+        begin[a] = begin[b] = True
+    return x, J, np.divide(np.sqrt(_dot(grad, grad)), J, out=np.zeros(R), where=J > 0)
 
 
 def alternating_optimize(params, channel, restarts=20, max_iters=4000,
@@ -341,33 +378,35 @@ def alternating_optimize(params, channel, restarts=20, max_iters=4000,
     problem that have every row at power equality, and power equality loses
     nothing, because a louder row is never less informative.
 
-    Returns the best pair across restarts; ``converged`` says whether that
-    pair's tangent residual met ``tol``.  Row z(T) of ``G_opt`` is not
-    identified by the objective (see the module docstring).
+    The restarts descend in lock-step, ``_BLOCK_RESTARTS`` at a time, with
+    one batched decoder solve per round; a restart's path does not depend on
+    its neighbours, so the result does not depend on the block size.
+    Returns the best pair across restarts (the first, on ties); ``converged``
+    says whether that pair's tangent residual met ``tol``.  Row z(T) of
+    ``G_opt`` is not identified by the objective (see the module docstring).
     """
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
+    if max_iters < 1:
+        raise ValueError("max_iters must be >= 1")
     if not tol > 0:
         raise ValueError("tol must be > 0")
     if channel.P.ndim != 1:
         raise ValueError("the search runs one channel, not a (T, K) batch")
     kind = SchemeKind(kind)
     seed = _coerce_seed(seed)
-    if kind is SchemeKind.FULL_STATE:
-        form = _full_state_formulation(params, channel)
-        band = 0
-    else:
-        form = _noisy_state_formulation(params, channel)
-        band = 1
+    band = int(kind is not SchemeKind.FULL_STATE)
+    form = (_noisy_state_formulation if band else _full_state_formulation)(params, channel)
 
     spheres = _Spheres(form)
     best = None
-    for r in range(restarts):
-        rng = seed.stream(ROLE_BASELINE, r)
-        x = spheres.from_G(rng.standard_normal(form.mask.shape) * form.mask)
-        x, J, residual = _descend(spheres, x, max_iters, tol)
-        if best is None or J < best[1]:
-            best = (x, J, residual)
+    for first in range(0, restarts, _BLOCK_RESTARTS):
+        block = range(first, min(first + _BLOCK_RESTARTS, restarts))
+        G = [seed.stream(ROLE_BASELINE, r).standard_normal(form.mask.shape) for r in block]
+        x, J, residual = _descend(spheres, spheres.from_G(np.stack(G) * form.mask), max_iters, tol)
+        k = np.argmin(J)
+        if best is None or J[k] < best[1]:
+            best = (x[k], J[k], residual[k])
 
     x, _, residual = best
     G = spheres.to_G(x)

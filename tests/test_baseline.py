@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -15,7 +17,15 @@ from statecast import (
     paths_from_noise,
     state_variance,
 )
-from statecast.baseline import _Formulation, _full_state_formulation, _shift_cols
+from statecast.baseline import (
+    _BLOCK_RESTARTS,
+    _descend,
+    _Formulation,
+    _full_state_formulation,
+    _noisy_state_formulation,
+    _shift_cols,
+    _Spheres,
+)
 
 FULL = SchemeKind.FULL_STATE
 NOISY = SchemeKind.NOISY_STATE
@@ -353,3 +363,68 @@ def test_alternating_optimize_validates_arguments():
         alternating_optimize(params, channel, restarts=0)
     with pytest.raises(ValueError):
         alternating_optimize(params, channel, tol=0.0)
+    with pytest.raises(ValueError):
+        alternating_optimize(params, channel, max_iters=0)
+
+
+@pytest.mark.parametrize("max_iters", [7, 4000])
+@pytest.mark.parametrize("kind", [FULL, NOISY])
+def test_lockstep_restarts_do_not_interact(kind, max_iters):
+    # A restart in a lock-step block takes the path it takes alone, bit for
+    # bit, whether its neighbours stop before or after it.
+    params = SystemParams.make(6, a=0.9, c=1.0, d=0.5, V_vv=1.0, V_wv=0.3)
+    channel = ChannelParams.make(6, P=[1.0, 2.0, 0.5, 1.0, 1.0, 1.5], N=0.5)
+    formulation = _full_state_formulation if kind is FULL else _noisy_state_formulation
+    spheres = _Spheres(formulation(params, channel))
+    mask = spheres.form.mask
+    x = spheres.from_G(np.random.default_rng(3).standard_normal((4,) + mask.shape) * mask)
+    stacked = _descend(spheres, x.copy(), max_iters, 1e-11)
+    for r in range(4):
+        alone = _descend(spheres, x[r:r + 1].copy(), max_iters, 1e-11)
+        for got, want in zip(stacked, alone):
+            assert np.array_equal(got[r], want[0])
+        J, grad = spheres.evaluate(x[r])
+        assert J == spheres.evaluate(x)[0][r]
+        assert np.array_equal(grad, spheres.evaluate(x)[1][r])
+
+
+def test_stacked_decoder_and_loss_equal_per_slice_calls():
+    # Each slice of a stack decodes as it would alone, bit for bit.  Two
+    # equal channel inputs under N = 1e-17 make a Gram matrix singular in
+    # floating point: that slice alone takes the pseudo-inverse path, and
+    # the other slices keep their Cholesky result.
+    form = _full_state_formulation(SystemParams.make(5, a=0.9),
+                                   ChannelParams.make(5, P=1.0, N=1e-17))
+    full_rank = np.random.default_rng(4).standard_normal((3, 5, 5))
+    singular = np.zeros((5, 5))
+    singular[1:3, 0] = 1.0
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.cholesky(singular @ singular.T + np.diag(form.N))
+    batched = form.decoder(full_rank)
+    mixed = np.stack([full_rank[0], singular, full_rank[1], full_rank[2]])
+    D = form.decoder(mixed)
+    for U_stack, D_stack in ((full_rank, batched), (mixed, D)):
+        J, grad = form.loss(U_stack, D_stack)
+        for k, U in enumerate(U_stack):
+            assert np.array_equal(D_stack[k], form.decoder(U))
+            J_k, grad_k = form.loss(U, D_stack[k])
+            assert J_k == J[k]
+            assert np.array_equal(grad_k, grad[k])
+    assert np.array_equal(D[[0, 2, 3]], batched)
+    assert np.all(np.tril(D) == 0.0)
+
+
+def test_alternating_optimize_memory_bounded_in_restarts():
+    # restarts descend in blocks, so 8x more restarts hold no more history
+    params = SystemParams.make(20, a=0.9)
+    channel = ChannelParams.make(20, P=1.0, N=0.5)
+    alternating_optimize(params, channel, restarts=_BLOCK_RESTARTS, max_iters=5)  # warm-up
+    peaks = []
+    for restarts in (_BLOCK_RESTARTS, 8 * _BLOCK_RESTARTS):
+        tracemalloc.start()
+        try:
+            alternating_optimize(params, channel, restarts=restarts, max_iters=5)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.5 * peaks[0], peaks

@@ -121,6 +121,57 @@ def test_baseline_subcommand_and_restart_override(tmp_path, capsys):
     assert abs(float(footer["baseline_objective"]) - 1.27) < 1e-9
 
 
+# `baseline` bytes for the certify benchmark's T5 and noisy_T8 inputs
+# (a=0.9, P=1, N=0.5, seed 0, 20 restarts).  The search's arithmetic may
+# change; its printed objective, gap and converged flag may not.
+SEARCH = {"restarts": 20, "max_iters": 4000, "tol": 1e-11}
+BASELINE_GOLDEN = {
+    "T5": (
+        {"horizon": 5, "system": {"a": 0.9}, "scheme": "FullState"},
+        "t,mse_analytic,mse_empirical,stderr,power_used\n"
+        "1,1,,,1\n"
+        "2,1.27,,,1\n"
+        "3,1.4280337931,,,1\n"
+        "4,1.53597636769,,,1\n"
+        "5,1.61444387188,,,1\n"
+        "# avg_mse_analytic = 1.36969080654\n"
+        "# baseline_objective = 1.33503053997\n"
+        "# baseline_gap_rel = -0.0253051757363\n"
+        "# baseline_restarts = 20\n"
+        "# baseline_converged = true\n"
+    ),
+    "noisy_T8": (
+        {"horizon": 8, "system": {"a": 0.9, "c": 1.0, "d": 0.5, "V_vv": 1.0},
+         "scheme": "NoisyState"},
+        "t,mse_analytic,mse_empirical,stderr,power_used\n"
+        "1,1,,,1\n"
+        "2,1.378,,,1\n"
+        "3,1.55241074376,,,1\n"
+        "4,1.66445379583,,,1\n"
+        "5,1.74450313904,,,1\n"
+        "6,1.80423983077,,,1\n"
+        "7,1.84988386934,,,1\n"
+        "8,1.88528672842,,,1\n"
+        "# avg_mse_analytic = 1.60984726339\n"
+        "# baseline_objective = 1.54294496957\n"
+        "# baseline_gap_rel = -0.0415581622821\n"
+        "# baseline_restarts = 20\n"
+        "# baseline_converged = true\n"
+    ),
+}
+
+
+@pytest.mark.parametrize("label", sorted(BASELINE_GOLDEN))
+def test_baseline_golden_output(tmp_path, capsys, label):
+    config, golden = BASELINE_GOLDEN[label]
+    cfg = _write(tmp_path, dict(config, channel={"P": 1.0, "N": 0.5}, seed=0,
+                                baseline=SEARCH))
+    code, out, err = _run(capsys, ["baseline", "--config", cfg])
+    assert code == 0
+    assert out == golden
+    assert err == ""
+
+
 def test_baseline_refuses_large_horizons(tmp_path, capsys):
     cfg = _write(tmp_path, dict(BASE, horizon=51))
     code, _, err = _run(capsys, ["baseline", "--config", cfg])

@@ -252,6 +252,8 @@ def test_monte_carlo_memory_bounded_in_samples():
     # 25x more paths may not need much more memory: blocks stream through
     params = SystemParams.make(100, a=0.9, c=1.0, d=0.5, V_vv=1.0, V_wv=0.3)
     channel = ChannelParams.make(100, P=1.0, N=0.5)
+    # warm-up: one-time allocations of a first call must not inflate the baseline
+    monte_carlo_mse(NOISY, params, channel, 2_000, 3)
     peaks = []
     for samples in (2_000, 50_000):
         tracemalloc.start()
