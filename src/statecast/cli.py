@@ -50,7 +50,7 @@ class NumericalError(RuntimeError):
     pass
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class ExperimentConfig:
     horizon: int
     system: dict
@@ -61,36 +61,19 @@ class ExperimentConfig:
     baseline: dict
     sweep: dict | None = None
 
-    def system_params(self):
-        return SystemParams.make(self.horizon, **self.system)
+    def system_params(self, **swept):
+        return SystemParams.make(self.horizon, **{**self.system, **swept})
 
     def channel_params(self):
         return ChannelParams.make(self.horizon, **self.channel)
-
-    def to_dict(self):
-        out = {
-            "horizon": self.horizon,
-            "system": dict(self.system),
-            "channel": dict(self.channel),
-            "scheme": self.scheme.value,
-            "samples": self.samples,
-            "seed": self.seed,
-            "baseline": dict(self.baseline),
-        }
-        if self.sweep is not None:
-            out["sweep"] = dict(self.sweep)
-        return out
-
-    def __eq__(self, other):
-        if not isinstance(other, ExperimentConfig):
-            return NotImplemented
-        return self.to_dict() == other.to_dict()
 
 
 def _field_value(section, key, value, horizon):
     # json accepts NaN and Infinity; they are config errors, not numerical failures
     name = f"{section}.{key}"
     if isinstance(value, (list, tuple)):
+        if key == "x0":
+            raise ConfigError(name, "must be a number")
         if len(value) != horizon:
             raise ConfigError(name, f"array must have length exactly {horizon}")
         # one check per distinct entry type, then one pass for finiteness
@@ -106,6 +89,12 @@ def _field_value(section, key, value, horizon):
     if not math.isfinite(value):
         raise ConfigError(name, "must be finite")
     return float(value)
+
+
+def _integer(value, name, least):
+    if not isinstance(value, int) or isinstance(value, bool) or value < least:
+        raise ConfigError(name, f"must be an integer >= {least}")
+    return value
 
 
 def _section(data, name, allowed, horizon, required_keys=()):
@@ -133,9 +122,7 @@ def parse_config(data):
         if key not in known:
             raise ConfigError(key, "unknown field")
 
-    horizon = data.get("horizon")
-    if not isinstance(horizon, int) or isinstance(horizon, bool) or horizon < 1:
-        raise ConfigError("horizon", "must be an integer >= 1")
+    horizon = _integer(data.get("horizon"), "horizon", 1)
 
     system = _section(data, "system", _SYSTEM_KEYS, horizon, required_keys=("a",))
     channel = _section(data, "channel", _CHANNEL_KEYS, horizon,
@@ -148,13 +135,8 @@ def parse_config(data):
         names = ", ".join(k.value for k in SchemeKind)
         raise ConfigError("scheme", f"must be one of: {names}") from None
 
-    samples = data.get("samples", 0)
-    if not isinstance(samples, int) or isinstance(samples, bool) or samples < 0:
-        raise ConfigError("samples", "must be an integer >= 0")
-
-    seed = data.get("seed", 0)
-    if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
-        raise ConfigError("seed", "must be a non-negative integer")
+    samples = _integer(data.get("samples", 0), "samples", 0)
+    seed = _integer(data.get("seed", 0), "seed", 0)
 
     baseline = dict(_BASELINE_DEFAULTS)
     if "baseline" in data:
@@ -169,9 +151,7 @@ def parse_config(data):
                     raise ConfigError("baseline.tol", "must be a number > 0")
                 baseline[key] = float(value)
             else:
-                if not isinstance(value, int) or isinstance(value, bool) or value < 1:
-                    raise ConfigError(f"baseline.{key}", "must be an integer >= 1")
-                baseline[key] = value
+                baseline[key] = _integer(value, f"baseline.{key}", 1)
 
     sweep = None
     if "sweep" in data:
@@ -210,20 +190,16 @@ def load_config(path):
 
 
 def _fmt(value):
+    """Footer text of one value; NumericalError for a non-finite number."""
     if value is None:
         return ""
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, (int, np.integer)):
         return str(int(value))
-    return f"{float(value):.12g}"
-
-
-def _check_finite(value):
-    if value is None or isinstance(value, bool):
-        return
-    if not math.isfinite(float(value)):
+    if not math.isfinite(value):
         raise NumericalError("non-finite value in output")
+    return f"{float(value):.12g}"
 
 
 def _table(columns):
@@ -244,9 +220,7 @@ def _table(columns):
 
 def _render(columns, footer):
     lines = ["t,mse_analytic,mse_empirical,stderr,power_used", *_table(columns)]
-    for key, value in footer:
-        _check_finite(value)
-        lines.append(f"# {key} = {_fmt(value)}")
+    lines += [f"# {key} = {_fmt(value)}" for key, value in footer]
     return "\n".join(lines) + "\n"
 
 
@@ -264,108 +238,61 @@ def _render_result(result, footer):
 
 
 def _warn_variance(params):
+    """``params``, after a warning if the state variance passes VARIANCE_WARN."""
     sigma_sq = state_variance(params)
     if np.max(sigma_sq) > VARIANCE_WARN:
         t = int(np.argmax(sigma_sq > VARIANCE_WARN))
         print(f"warning: state variance exceeds {VARIANCE_WARN:g} at t={t}; "
               "double precision may lose accuracy", file=sys.stderr)
+    return params
 
 
-def _analytic(config):
-    params = config.system_params()
-    _warn_variance(params)
-    return analytic_mse(config.scheme, params, config.channel_params())
-
-
-def run_analytic(config):
-    result = _analytic(config)
-    return _render_result(result, [("avg_mse_analytic", result.avg_mse_analytic)])
-
-
-def _simulate(config):
-    params = config.system_params()
-    _warn_variance(params)
-    result = monte_carlo_mse(config.scheme, params, config.channel_params(),
-                             config.samples, config.seed)
-    return result, [
-        ("avg_mse_analytic", result.avg_mse_analytic),
-        ("avg_mse_empirical", result.avg_mse_empirical),
-        ("samples", result.samples),
-    ]
-
-
-def run_simulate(config):
-    if config.samples < 1:
+def _run(config, sample, certify):
+    """One record: the exact per-step MSE, the Monte Carlo columns if
+    ``sample`` and the certifier's footer lines if ``certify``."""
+    if sample and config.samples < 1:
         raise ConfigError("samples", "must be >= 1 for simulate (set --samples)")
-    return _render_result(*_simulate(config))
-
-
-def _baseline_footer(config, avg_analytic):
-    bl = alternating_optimize(
-        config.system_params(), config.channel_params(),
-        restarts=config.baseline["restarts"],
-        max_iters=config.baseline["max_iters"],
-        tol=config.baseline["tol"],
-        seed=config.seed,
-        kind=config.scheme,
-    )
-    gap = (bl.objective - avg_analytic) / avg_analytic
-    return [
-        ("baseline_objective", bl.objective),
-        ("baseline_gap_rel", gap),
-        ("baseline_restarts", bl.restarts_run),
-        ("baseline_converged", bl.converged),
-    ]
-
-
-def _check_baseline_cap(config):
-    if config.horizon > BASELINE_HORIZON_CAP:
+    if certify and config.horizon > BASELINE_HORIZON_CAP:
         raise ConfigError(
             "horizon",
             f"baseline optimizer works with dense T x T operators and is "
             f"capped at T <= {BASELINE_HORIZON_CAP}; lower the horizon or "
             f"use the analytic/simulate subcommands")
+    params, channel = _warn_variance(config.system_params()), config.channel_params()
+    if sample:
+        result = monte_carlo_mse(config.scheme, params, channel, config.samples, config.seed)
+    else:
+        result = analytic_mse(config.scheme, params, channel)
+    avg = result.avg_mse_analytic
+    footer = [("avg_mse_analytic", avg)]
+    if sample:
+        footer += [("avg_mse_empirical", result.avg_mse_empirical),
+                   ("samples", result.samples)]
+    if certify:
+        best = alternating_optimize(params, channel, **config.baseline,
+                                    seed=config.seed, kind=config.scheme)
+        footer += [("baseline_objective", best.objective),
+                   ("baseline_gap_rel", (best.objective - avg) / avg),
+                   ("baseline_restarts", best.restarts_run),
+                   ("baseline_converged", best.converged)]
+    del params, channel  # freed before rendering, which sets the peak on long horizons
+    return _render_result(result, footer)
 
 
-def run_baseline(config):
-    _check_baseline_cap(config)
-    result = _analytic(config)
-    footer = [("avg_mse_analytic", result.avg_mse_analytic)]
-    return _render_result(result, footer + _baseline_footer(config, result.avg_mse_analytic))
-
-
-def run_compare(config):
-    if config.samples < 1:
-        return run_baseline(config)
-    _check_baseline_cap(config)
-    result, footer = _simulate(config)
-    return _render_result(result, footer + _baseline_footer(config, result.avg_mse_analytic))
-
-
-def _swept_config(config, field, value):
-    section = "system" if field == "a" else "channel"
-    return replace(config, **{section: {**getattr(config, section), field: value}})
-
-
-def run_sweep(config):
-    if config.sweep is None:
-        raise ConfigError("sweep", "section is required for the sweep subcommand")
-    field = config.sweep["field"]
-    values = config.sweep["values"]
-    if field == "a" and any(abs(v) > 1 for v in values):
-        print("warning: |a| > 1: state variance grows geometrically with t",
-              file=sys.stderr)
-    return "".join(_sweep_pieces(config, field, values))
-
-
-def _sweep_pieces(config, field, values):
+def _sweep(config):
     """Each swept value's '# sweep' line and record, then the summary.  P and
     N sweeps share one transmitter schedule: one run on a (T, K) channel batch."""
+    if config.sweep is None:
+        raise ConfigError("sweep", "section is required for the sweep subcommand")
+    field, values = config.sweep["field"], config.sweep["values"]
     if field == "a":
-        results = (_analytic(_swept_config(config, field, value)) for value in values)
+        if any(abs(v) > 1 for v in values):
+            print("warning: |a| > 1: state variance grows geometrically with t",
+                  file=sys.stderr)
+        results = (analytic_mse(config.scheme, _warn_variance(config.system_params(a=v)),
+                                config.channel_params()) for v in values)
     else:
-        params = config.system_params()
-        _warn_variance(params)
+        params = _warn_variance(config.system_params())
         other = "N" if field == "P" else "P"
         shape = (config.horizon, len(values))
         fixed = np.reshape(config.channel[other], (-1, 1))
@@ -380,31 +307,35 @@ def _sweep_pieces(config, field, values):
         pieces.append(_render_result(result, [("avg_mse_analytic", result.avg_mse_analytic)]))
     summary = [f"{field},avg_mse_analytic", *_table((values, averages))]
     pieces.append("# sweep summary\n" + "\n".join(summary) + "\n")
-    return pieces
+    return "".join(pieces)
 
 
 _RUNNERS = {
-    "analytic": run_analytic,
-    "simulate": run_simulate,
-    "baseline": run_baseline,
-    "compare": run_compare,
-    "sweep": run_sweep,
+    "analytic": lambda config: _run(config, sample=False, certify=False),
+    "simulate": lambda config: _run(config, sample=True, certify=False),
+    "baseline": lambda config: _run(config, sample=False, certify=True),
+    "compare": lambda config: _run(config, sample=config.samples >= 1, certify=True),
+    "sweep": _sweep,
 }
 
 
 def _apply_overrides(config, args):
-    samples = config.samples if args.samples is None else args.samples
-    if samples < 0:
-        raise ConfigError("samples", "must be an integer >= 0")
-    seed = config.seed if args.seed is None else args.seed
-    if seed < 0:
-        raise ConfigError("seed", "must be a non-negative integer")
+    """The config with the --samples, --seed and --restarts values given,
+    checked by the rules of parse_config."""
+    samples = config.samples if args.samples is None else _integer(args.samples, "samples", 0)
+    seed = config.seed if args.seed is None else _integer(args.seed, "seed", 0)
     baseline = dict(config.baseline)
     if args.restarts is not None:
-        if args.restarts < 1:
-            raise ConfigError("baseline.restarts", "must be an integer >= 1")
-        baseline["restarts"] = args.restarts
+        baseline["restarts"] = _integer(args.restarts, "baseline.restarts", 1)
     return replace(config, samples=samples, seed=seed, baseline=baseline)
+
+
+def _write(path, text):
+    try:
+        with open(path, "wb") as fh:
+            fh.write(text.encode("ascii"))
+    except OSError as exc:
+        raise ConfigError("--out", f"cannot write {path}: {exc}") from None
 
 
 def main(argv=None):
@@ -437,18 +368,16 @@ def main(argv=None):
         config = _apply_overrides(load_config(args.config), args)
         with np.errstate(all="ignore"):  # the renderer reports non-finite output
             text = _RUNNERS[args.command](config)
+        if args.out is None:
+            sys.stdout.write(text)
+        else:
+            _write(args.out, text)
     except ValueError as exc:  # ConfigError is a ValueError
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-
-    if args.out is None:
-        sys.stdout.write(text)
-    else:
-        with open(args.out, "wb") as fh:
-            fh.write(text.encode("ascii"))
     return EXIT_OK
 
 

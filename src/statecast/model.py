@@ -63,6 +63,14 @@ def _broadcast(value, length, name):
     return arr
 
 
+def _sized(value, length, name):
+    """``_broadcast``, and the result must have exactly ``length`` entries."""
+    arr = _broadcast(value, length, name)
+    if arr.size != length:
+        raise ValueError(f"{name} has length {arr.size}, expected {length}")
+    return arr
+
+
 @dataclass(frozen=True)
 class RngSeed:
     """Master seed for all randomness; identical seeds reproduce runs bit for bit."""
@@ -105,9 +113,7 @@ class SystemParams:
         if a.ndim != 1 or a.size < 1:
             raise ValueError("a must be a 1-D sequence of length T >= 1")
         T = a.size
-        b = _broadcast(self.b, T, "b")
-        if b.size != T:
-            raise ValueError(f"b has length {b.size}, expected {T}")
+        b = _sized(self.b, T, "b")
 
         def obs_seq(value, name):
             arr = _broadcast(value, T + 1, name)
@@ -153,13 +159,12 @@ class SystemParams:
     @classmethod
     def make(cls, T, a, b=1.0, c=1.0, d=0.0, V_ww=1.0, V_vv=0.0, V_wv=0.0, x0=0.0):
         """Build params from scalars or sequences; scalars broadcast to the horizon."""
-        a_arr = _broadcast(a, T, "a")
-        if a_arr.size != T:
-            raise ValueError(f"a has length {a_arr.size}, expected {T}")
-        ww = _broadcast(V_ww, T + 1, "V_ww")
-        vv = _broadcast(V_vv, T + 1, "V_vv")
-        wv = _broadcast(V_wv, T + 1, "V_wv")
-        n = max(ww.size, vv.size, wv.size)
+        a_arr = _sized(a, T, "a")
+        # scalars take the length of the V_* arrays given, T+1 if none is
+        n = max((np.size(v) for v in (V_ww, V_vv, V_wv) if np.size(v) > 1), default=T + 1)
+        ww = _broadcast(V_ww, n, "V_ww")
+        vv = _broadcast(V_vv, n, "V_vv")
+        wv = _broadcast(V_wv, n, "V_wv")
         if n not in (T, T + 1):
             raise ValueError("V_* entries must have length T or T+1 (or be scalars)")
 
@@ -211,7 +216,7 @@ class ChannelParams:
 
     @classmethod
     def make(cls, T, P, N):
-        return cls(P=_broadcast(P, T, "P"), N=_broadcast(N, T, "N"))
+        return cls(P=_sized(P, T, "P"), N=_sized(N, T, "N"))
 
 
 def mean_trajectory(params):

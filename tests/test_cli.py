@@ -172,6 +172,42 @@ def test_baseline_golden_output(tmp_path, capsys, label):
     assert err == ""
 
 
+# `simulate` and `compare` bytes (samples >= 1, so both footers print, the
+# Monte Carlo lines before the certifier's) for a coupled NoisyState plant
+# with x0 != 0.
+SAMPLED = {"horizon": 4,
+           "system": {"a": 0.9, "c": 1.0, "d": 0.5, "V_vv": 1.0, "V_wv": 0.3, "x0": 0.7},
+           "channel": {"P": 1.0, "N": 0.5}, "scheme": "NoisyState", "samples": 500,
+           "seed": 3, "baseline": dict(SEARCH, restarts=3)}
+SAMPLED_RECORD = (
+    "t,mse_analytic,mse_empirical,stderr,power_used\n"
+    "1,1,0.965604009105,0.0641538134738,1.00868450077\n"
+    "2,1.22321496256,1.07278341443,0.0647415194944,0.909802334079\n"
+    "3,1.39861452003,1.3301118316,0.0887647720401,0.962448251568\n"
+    "4,1.51684516426,1.48028021111,0.0866719871815,0.948065345867\n"
+    "# avg_mse_analytic = 1.28466866171\n"
+    "# avg_mse_empirical = 1.21219486656\n"
+    "# samples = 500\n"
+)
+SAMPLED_GOLDEN = {
+    "simulate": SAMPLED_RECORD,
+    "compare": SAMPLED_RECORD + (
+        "# baseline_objective = 1.24649140922\n"
+        "# baseline_gap_rel = -0.0297175868182\n"
+        "# baseline_restarts = 3\n"
+        "# baseline_converged = true\n"
+    ),
+}
+
+
+@pytest.mark.parametrize("command", sorted(SAMPLED_GOLDEN))
+def test_sampled_golden_output(tmp_path, capsys, command):
+    code, out, err = _run(capsys, [command, "--config", _write(tmp_path, SAMPLED)])
+    assert code == 0
+    assert out == SAMPLED_GOLDEN[command]
+    assert err == ""
+
+
 def test_baseline_refuses_large_horizons(tmp_path, capsys):
     cfg = _write(tmp_path, dict(BASE, horizon=51))
     code, _, err = _run(capsys, ["baseline", "--config", cfg])
@@ -226,6 +262,9 @@ def test_negative_overrides_rejected(tmp_path, capsys):
                  id="str-entry-channel.P"),
     pytest.param(lambda d: d["channel"].update(N=[[2.0], 2.0]), "channel.N",
                  id="list-entry-channel.N"),
+    # x0 is a scalar; an array of any length is a config error
+    pytest.param(lambda d: d["system"].update(x0=[0.1, 0.2]), "system.x0",
+                 id="list-system.x0"),
 ])
 def test_config_errors_name_the_field(tmp_path, capsys, mangle, field):
     data = json.loads(json.dumps(BASE))
@@ -235,6 +274,16 @@ def test_config_errors_name_the_field(tmp_path, capsys, mangle, field):
     assert code == 2
     assert out == ""
     assert field in err
+
+
+def test_unwritable_out_is_a_config_error(tmp_path, capsys):
+    dest = tmp_path / "missing" / "run.csv"
+    code, out, err = _run(capsys, ["analytic", "--config", _write(tmp_path, BASE),
+                                   "--out", str(dest)])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("config error: --out: ") and err.count("\n") == 1
+    assert not dest.exists()
 
 
 def test_unreadable_and_invalid_json_config(tmp_path, capsys):
@@ -396,10 +445,10 @@ def test_sweep_requires_sweep_section(tmp_path, capsys):
 
 
 def test_config_round_trip_equality():
-    cfg = parse_config(dict(BASE, samples=10, seed=3,
-                            sweep={"field": "N", "values": [1, 2]}))
+    data = dict(BASE, samples=10, seed=3, sweep={"field": "N", "values": [1, 2]})
+    cfg = parse_config(data)
     assert isinstance(cfg, ExperimentConfig)
-    assert parse_config(cfg.to_dict()) == cfg
+    assert parse_config(json.loads(json.dumps(data))) == cfg
     other = parse_config(dict(BASE, samples=10, seed=4))
     assert cfg != other
 

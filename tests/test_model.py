@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
 from statecast import (
     ChannelParams,
@@ -68,6 +68,18 @@ def test_make_extends_length_T_observation_arrays():
     assert_allclose(params.c, [1.0, 2.0, 3.0, 3.0])
 
 
+@pytest.mark.parametrize("length", [3, 4])  # T and T+1 entries at T=3
+def test_make_accepts_a_lone_V_array(length):
+    # each V_* may be a per-step array on its own; the scalars take its length
+    scalars = {"V_ww": 2.0, "V_vv": 1.0, "V_wv": 0.1}
+    values = [0.5, 0.4, 0.3, 0.2][:length]
+    for name in scalars:
+        lone = SystemParams.make(3, a=0.9, **{**scalars, name: values})
+        arrays = {key: [value] * length for key, value in scalars.items()}
+        every = SystemParams.make(3, a=0.9, **{**arrays, name: values})
+        assert_array_equal(lone.V, every.V)
+
+
 def test_system_params_validation():
     with pytest.raises(ValueError):
         SystemParams.make(3, a=[1.0, 1.0])  # wrong length
@@ -79,6 +91,8 @@ def test_system_params_validation():
         ChannelParams.make(2, P=0.0, N=1.0)
     with pytest.raises(ValueError):
         ChannelParams.make(2, P=1.0, N=[1.0, -1.0])
+    with pytest.raises(ValueError, match="P has length 3, expected 5"):
+        ChannelParams.make(5, P=[1.0, 2.0, 3.0], N=[1.0, 1.0, 1.0])
     # NaN passes every ordering check, so non-finite values need their own
     for bad in (dict(a=[1.0, np.inf, 1.0]), dict(a=1.0, b=np.nan),
                 dict(a=1.0, V_ww=np.nan), dict(a=1.0, d=-np.inf),
