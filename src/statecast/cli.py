@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .baseline import alternating_optimize
-from .model import ChannelParams, SystemParams, state_variance
+from .model import _SEED_BOUND, ChannelParams, SystemParams, state_variance
 from .scheme import RunResult, SchemeKind, analytic_mse, monte_carlo_mse
 
 EXIT_OK = 0
@@ -91,9 +91,11 @@ def _field_value(section, key, value, horizon):
     return float(value)
 
 
-def _integer(value, name, least):
-    if not isinstance(value, int) or isinstance(value, bool) or value < least:
-        raise ConfigError(name, f"must be an integer >= {least}")
+def _integer(value, name, least, below=None):
+    if (not isinstance(value, int) or isinstance(value, bool) or value < least
+            or below is not None and value >= below):
+        bound = "" if below is None else f" and < {below}"
+        raise ConfigError(name, f"must be an integer >= {least}{bound}")
     return value
 
 
@@ -136,7 +138,7 @@ def parse_config(data):
         raise ConfigError("scheme", f"must be one of: {names}") from None
 
     samples = _integer(data.get("samples", 0), "samples", 0)
-    seed = _integer(data.get("seed", 0), "seed", 0)
+    seed = _integer(data.get("seed", 0), "seed", 0, _SEED_BOUND)
 
     baseline = dict(_BASELINE_DEFAULTS)
     if "baseline" in data:
@@ -323,7 +325,7 @@ def _apply_overrides(config, args):
     """The config with the --samples, --seed and --restarts values given,
     checked by the rules of parse_config."""
     samples = config.samples if args.samples is None else _integer(args.samples, "samples", 0)
-    seed = config.seed if args.seed is None else _integer(args.seed, "seed", 0)
+    seed = config.seed if args.seed is None else _integer(args.seed, "seed", 0, _SEED_BOUND)
     baseline = dict(config.baseline)
     if args.restarts is not None:
         baseline["restarts"] = _integer(args.restarts, "baseline.restarts", 1)

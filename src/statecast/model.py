@@ -38,6 +38,9 @@ ROLE_MEASUREMENT = 1
 ROLE_CHANNEL = 2
 ROLE_BASELINE = 3
 
+# Seeds are 64-bit unsigned integers: 0 <= seed < _SEED_BOUND.
+_SEED_BOUND = 2**64
+
 # Monte Carlo draws paths in blocks of this many rows, time-major (one row
 # per role and step); the constant fixes the mapping from a seed to draws.
 _BLOCK_ROWS = 2048
@@ -78,7 +81,7 @@ class RngSeed:
     seed: int
 
     def __post_init__(self):
-        if not (0 <= int(self.seed) < 2**64):
+        if not (0 <= int(self.seed) < _SEED_BOUND):
             raise ValueError("seed must be a 64-bit unsigned integer")
         object.__setattr__(self, "seed", int(self.seed))
 

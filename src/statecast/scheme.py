@@ -15,7 +15,10 @@ pipeline — transmitter filter, power scaling, exact decoder — and differ onl
 in the parameters handed to it.  The decoder keeps one scalar state, its
 estimate of the transmitter's one-step predictor (``kalman``).  Monte Carlo
 makes one pass over t per block of paths, reducing each step at once: memory
-bounded in n and T.  FullState paths skip the v draw and the filter.
+bounded in n and T.  Where a second CPU is free, one helper thread draws
+the noise rows a chunk of steps ahead of the paths; each stream is drawn in
+the same order as by a single thread, so the draws are unchanged.  FullState
+paths skip the v draw and the filter.
 
 Known means are handled deterministically: encoders scale deviations from the
 mean path and decoders add the mean back, so the power budget is spent
@@ -26,6 +29,8 @@ with scaling the raw state.
 from __future__ import annotations
 
 import enum
+import os
+from contextlib import closing
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,6 +38,11 @@ import numpy as np
 from . import kalman
 from .model import (_BLOCK_ROWS, ROLE_CHANNEL, ROLE_MEASUREMENT, ROLE_PROCESS, SystemParams,
                     _coerce_seed, _noise_factors, _plant_step, mean_trajectory)
+
+
+# Monte Carlo draws the noise rows of this many steps per chunk, one chunk
+# ahead of the paths; the ring of two chunks bounds the buffers in n and T.
+_CHUNK_STEPS = 8
 
 
 class SchemeKind(enum.Enum):
@@ -107,8 +117,12 @@ def _pipeline(kind, params, channel, samples, seed):
     the receiver schedule and a generator of steps t = 0 .. T per block.
 
     Each role stream draws one row per step and continues across blocks;
-    plant, transmitter predictor and receiver state advance in place.  A
-    step yields the block's slice of the paths, t and the rows x, gamma,
+    plant, transmitter predictor and receiver state advance in place.  One
+    helper thread (given a second CPU, ``_drawn_ahead``) draws the rows of
+    the next ``_CHUNK_STEPS`` steps while the caller advances the paths
+    through the current ones; each stream is still drawn by one thread in
+    the same order, so the draws are unchanged.
+    A step yields the block's slice of the paths, t and the rows x, gamma,
     xbreve, z, y, xhat at t, valid until the next step (None where undefined).
     """
     if samples < 1:
@@ -120,39 +134,93 @@ def _pipeline(kind, params, channel, samples, seed):
     schedule = kalman.coupled_decoder_schedule(params, channel, gains)
     T, xbar, k, sd = params.horizon, mean_trajectory(params), schedule.K, np.sqrt(channel.N)
     l11, l21, l22 = _noise_factors(params)
-    rng_w, rng_v, rng_n = (_coerce_seed(seed).stream(role) for role in
-                           (ROLE_PROCESS, ROLE_MEASUREMENT, ROLE_CHANNEL))
+    # the noiseless sensor reads no v: FullState draws w and n only
+    roles = (ROLE_PROCESS, ROLE_CHANNEL) if full else (ROLE_PROCESS, ROLE_MEASUREMENT, ROLE_CHANNEL)
+    rngs = [_coerce_seed(seed).stream(role) for role in roles]
+    # a two-slot ring: the helper fills one slot while the caller reads the other
+    ring = np.empty((2, len(roles), _CHUNK_STEPS * min(samples, _BLOCK_ROWS)))
 
-    def steps():  # each role stream continues across blocks
+    def chunks():  # each role stream continues across blocks
         for start in range(0, samples, _BLOCK_ROWS):
-            rows = slice(start, min(start + _BLOCK_ROWS, samples))
-            u1, u2, n, s = np.zeros((4, rows.stop - start))
-            x, p = np.full((2, u1.size), params.x0)
-            z = y = xhat = None
-            for t in range(T + 1):
-                rng_w.standard_normal(out=u1)
-                if full:  # the noiseless sensor reads no v and the filter returns x
-                    gamma = xbreve = x
-                else:
-                    rng_v.standard_normal(out=u2)
-                    gamma = params.c[t] * x + params.d[t] * (u1 * l21[t] + u2 * l22[t])
-                    xbreve = kalman._transmitter_step(params, gains, t, p, gamma)
-                if t:
-                    z, xhat, y = k[t - 1] * (xbreve - xbar[t]), xbar[t] + s, None
+            for t0 in range(0, T + 1, _CHUNK_STEPS):
+                yield slice(start, min(start + _BLOCK_ROWS, samples)), t0
+
+    def draw(slot, chunk):
+        """Each role's rows for the chunk's steps, row i at step t0 + i; the
+        channel draws rows 1 <= t < T only."""
+        rows, t0 = chunk
+        m, steps = rows.stop - rows.start, min(_CHUNK_STEPS, T + 1 - t0)
+        out = [buf[:steps * m].reshape(steps, m) for buf in ring[slot]]
+        for rng, rows_drawn in zip(rngs, out[:-1]):
+            rng.standard_normal(out=rows_drawn)
+        rngs[-1].standard_normal(out=out[-1][max(1 - t0, 0):T - t0])
+        return rows, t0, out
+
+    def steps():
+        with closing(_drawn_ahead(draw, chunks())) as drawn:
+            for rows, t0, (w, *v, n) in drawn:  # v: [] or [v]
+                if t0 == 0:
+                    s = np.zeros(rows.stop - rows.start)
+                    x, p = np.full((2, s.size), params.x0)
+                    z = y = xhat = None
+                for t in range(t0, min(t0 + _CHUNK_STEPS, T + 1)):
+                    u1 = w[t - t0]
+                    if full:  # the filter returns x
+                        gamma = xbreve = x
+                    else:
+                        u2 = v[0][t - t0]
+                        gamma = params.c[t] * x + params.d[t] * (u1 * l21[t] + u2 * l22[t])
+                        xbreve = kalman._transmitter_step(params, gains, t, p, gamma)
+                    if t:
+                        z, xhat, y = k[t - 1] * (xbreve - xbar[t]), xbar[t] + s, None
+                        if t < T:
+                            y = z + n[t - t0] * sd[t - 1]
+                            kalman._receiver_step(schedule, t, s, y)
+                    yield rows, t, x, gamma, xbreve, z, y, xhat
                     if t < T:
-                        rng_n.standard_normal(out=n)
-                        y = z + n * sd[t - 1]
-                        kalman._receiver_step(schedule, t, s, y)
-                yield rows, t, x, gamma, xbreve, z, y, xhat
-                if t < T:
-                    _plant_step(params.a[t], params.b[t], x, u1 * l11[t], out=x)
+                        _plant_step(params.a[t], params.b[t], x, u1 * l11[t], out=x)
 
     return schedule, steps()
 
 
+def _usable_cpus():
+    """The number of CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _drawn_ahead(draw, chunks):
+    """Yield ``draw(slot, chunk)`` for each chunk in order.
+
+    Where a second CPU is free, one helper thread runs each draw one chunk
+    ahead.  Chunk j goes to slot j % 2 when the caller asks for chunk j - 1,
+    so it is done with chunk j - 2, the slot's last contents; a draw's
+    exception is raised to the caller, and closing this generator joins the
+    helper.  On one CPU the draws run inline in slot 0: a helper could not
+    overlap them, only add thread switches.
+    """
+    if _usable_cpus() < 2:
+        for chunk in chunks:
+            yield draw(0, chunk)
+        return
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(max_workers=1, thread_name_prefix="statecast-draw") as helper:
+        ahead = None
+        for j, chunk in enumerate(chunks):
+            drawn = helper.submit(draw, j % 2, chunk)
+            if ahead is not None:
+                yield ahead.result()
+            ahead = drawn
+        yield ahead.result()
+
+
 def sample_paths(kind, params, channel, samples, seed):
     """Run the full pipeline (simulate, encode, channel, decode) per sample:
-    every path of the time-major pipeline that ``monte_carlo_mse`` reduces."""
+    every path of the time-major pipeline that ``monte_carlo_mse`` reduces,
+    its noise drawn a chunk ahead by one helper thread given a second CPU,
+    the draws unchanged."""
     full = SchemeKind(kind) is SchemeKind.FULL_STATE
     steps = _pipeline(kind, params, channel, samples, seed)[1]
     T = channel.horizon
@@ -174,6 +242,9 @@ def monte_carlo_mse(kind, params, channel, samples, seed):
     the squared error, merged by the pairwise update of Chan, Golub & LeVeque
     (1979), and the sum of z(t)^2.  The analytic columns are the pipeline's
     receiver schedule.  Memory is bounded in n and T apart from O(T) columns.
+    Given a second CPU, one helper thread draws the noise a chunk of steps
+    ahead while this thread advances and reduces the paths; the draws are
+    unchanged, and a draw error is raised here.
     """
     schedule, steps = _pipeline(kind, params, channel, samples, seed)
     sums = np.zeros((3, channel.horizon + 1))  # per t: sum and M2 of e, sum of z^2

@@ -189,22 +189,80 @@ SAMPLED_RECORD = (
     "# avg_mse_empirical = 1.21219486656\n"
     "# samples = 500\n"
 )
+# The same plant at T = 40 with 2 * 2048 + 5 samples: its draws cross the
+# boundaries of Monte Carlo's chunks of steps and blocks of paths.
+SAMPLED_LONG = dict(SAMPLED, horizon=40, samples=2 * 2048 + 5)
+SAMPLED_LONG_RECORD = (
+    "t,mse_analytic,mse_empirical,stderr,power_used\n"
+    "1,1,0.994368359602,0.0218205388445,0.996832050864\n"
+    "2,1.22321496256,1.22152898242,0.0266980341114,0.985569426831\n"
+    "3,1.39861452003,1.36377563892,0.0313395455568,0.957083011883\n"
+    "4,1.51684516426,1.51507849552,0.0334252669562,0.980263778334\n"
+    "5,1.60154490187,1.64113948641,0.0360013029158,0.993420079873\n"
+    "6,1.66457336212,1.67797642073,0.0364030445056,1.01389196732\n"
+    "7,1.71259792651,1.73534977507,0.038079601346,1.02510695076\n"
+    "8,1.74976754153,1.79911576079,0.0395992021851,1.01983420127\n"
+    "9,1.77885105315,1.79929353254,0.040038011535,1.00567950251\n"
+    "10,1.80178762706,1.81788310099,0.0396554457379,1.01604381484\n"
+    "11,1.81998268152,1.77857957722,0.0397849570278,0.994039669223\n"
+    "12,1.83448059934,1.80708060013,0.0408250774875,0.992757033846\n"
+    "13,1.846072124,1.85675009781,0.042596836361,1.0108405605\n"
+    "14,1.85536454369,1.9451259986,0.0432494671986,1.0111082677\n"
+    "15,1.86282940801,1.86571883959,0.0416726072607,1.01066889682\n"
+    "16,1.86883602074,1.92918919607,0.043438651629,1.03546775149\n"
+    "17,1.87367556691,1.8566573338,0.0415203312943,1.01775369083\n"
+    "18,1.87757886582,1.88220653426,0.0413051102825,1.01943164973\n"
+    "19,1.88072966372,1.87712372909,0.0418869078358,1.01854863519\n"
+    "20,1.88327473021,1.8794776888,0.0418168646988,0.994911034233\n"
+    "21,1.88533161777,1.95290112537,0.0434810290279,1.01234487132\n"
+    "22,1.88699468308,1.92304725108,0.0423143484835,1.01323697745\n"
+    "23,1.88833979673,1.9135582897,0.0437235279486,1.01338803452\n"
+    "24,1.88942805097,1.91986992981,0.0435308178761,1.00653186984\n"
+    "25,1.89030869421,1.89816147067,0.042622375736,1.00484074516\n"
+    "26,1.89102146351,1.89333139807,0.0408409146812,1.00144937697\n"
+    "27,1.89159844529,1.95919573251,0.0424488204781,1.00935725592\n"
+    "28,1.89206556377,1.86723163379,0.0400030820988,0.990364681156\n"
+    "29,1.89244377458,1.91844534877,0.0428196218553,0.983879867806\n"
+    "30,1.89275002363,1.85492991114,0.041187480607,0.980715067428\n"
+    "31,1.89299801868,1.88907154291,0.0414674635597,1.00103112282\n"
+    "32,1.89319885095,1.91323677537,0.0408229119833,0.995865849577\n"
+    "33,1.89336149642,1.87648456274,0.0416359219779,0.991199901472\n"
+    "34,1.89349322044,1.84481949432,0.0411546294174,0.980506866394\n"
+    "35,1.89359990456,1.85102087579,0.0392990738934,0.974202544278\n"
+    "36,1.89368631061,1.82751870502,0.0388845725054,0.974355220259\n"
+    "37,1.89375629421,1.95053206874,0.044138027571,0.991697884743\n"
+    "38,1.89381297744,1.83370955499,0.0400140598192,0.984950554253\n"
+    "39,1.89385888857,1.90451432384,0.0409121606241,0.995077906503\n"
+    "40,1.89389607509,1.92205823967,0.0416709713611,0.995393963259\n"
+    "# avg_mse_analytic = 1.79716413534\n"
+    "# avg_mse_empirical = 1.80392643457\n"
+    "# samples = 4101\n"
+)
 SAMPLED_GOLDEN = {
-    "simulate": SAMPLED_RECORD,
-    "compare": SAMPLED_RECORD + (
+    # label: (subcommand, config, stdout)
+    "simulate": ("simulate", SAMPLED, SAMPLED_RECORD),
+    "compare": ("compare", SAMPLED, SAMPLED_RECORD + (
         "# baseline_objective = 1.24649140922\n"
         "# baseline_gap_rel = -0.0297175868182\n"
         "# baseline_restarts = 3\n"
         "# baseline_converged = true\n"
-    ),
+    )),
+    "simulate-long": ("simulate", SAMPLED_LONG, SAMPLED_LONG_RECORD),
+    "compare-long": ("compare", SAMPLED_LONG, SAMPLED_LONG_RECORD + (
+        "# baseline_objective = 1.53834171287\n"
+        "# baseline_gap_rel = -0.144017130865\n"
+        "# baseline_restarts = 3\n"
+        "# baseline_converged = true\n"
+    )),
 }
 
 
-@pytest.mark.parametrize("command", sorted(SAMPLED_GOLDEN))
-def test_sampled_golden_output(tmp_path, capsys, command):
-    code, out, err = _run(capsys, [command, "--config", _write(tmp_path, SAMPLED)])
+@pytest.mark.parametrize("label", sorted(SAMPLED_GOLDEN))
+def test_sampled_golden_output(tmp_path, capsys, label):
+    command, config, golden = SAMPLED_GOLDEN[label]
+    code, out, err = _run(capsys, [command, "--config", _write(tmp_path, config)])
     assert code == 0
-    assert out == SAMPLED_GOLDEN[command]
+    assert out == golden
     assert err == ""
 
 
@@ -265,15 +323,24 @@ def test_negative_overrides_rejected(tmp_path, capsys):
     # x0 is a scalar; an array of any length is a config error
     pytest.param(lambda d: d["system"].update(x0=[0.1, 0.2]), "system.x0",
                  id="list-system.x0"),
+    # RngSeed takes 64-bit unsigned seeds, from the config or the command line
+    # (a tuple of arguments); every subcommand refuses larger ones
+    pytest.param(lambda d: d.update(seed=2**64), "seed", id="big-seed"),
+    pytest.param(("--seed", str(2**64)), "seed", id="big-seed-override"),
 ])
 def test_config_errors_name_the_field(tmp_path, capsys, mangle, field):
     data = json.loads(json.dumps(BASE))
-    mangle(data)
-    code, out, err = _run(capsys, ["analytic", "--config",
-                                   _write(tmp_path, data)])
-    assert code == 2
-    assert out == ""
-    assert field in err
+    if isinstance(mangle, tuple):
+        extra = list(mangle)
+    else:
+        extra = []
+        mangle(data)
+    cfg = _write(tmp_path, data)
+    for command in ("analytic", "simulate", "baseline", "compare", "sweep"):
+        code, out, err = _run(capsys, [command, "--config", cfg, *extra])
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"config error: {field}: ")
 
 
 def test_unwritable_out_is_a_config_error(tmp_path, capsys):

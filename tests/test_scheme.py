@@ -1,3 +1,4 @@
+import threading
 import tracemalloc
 
 import numpy as np
@@ -22,7 +23,8 @@ from statecast import (
     transmitter_filter,
     transmitter_gain_schedule,
 )
-from statecast.model import _BLOCK_ROWS
+from statecast import scheme
+from statecast.model import _BLOCK_ROWS, ROLE_CHANNEL
 
 from oracles import decimal_receiver_mse
 
@@ -424,6 +426,115 @@ def test_sample_paths_y_convention():
                                                        seed.stream(1)))
         assert np.all(runs.y[:, 0] == 0.0)
         assert np.array_equal(runs.x, x) and np.array_equal(runs.gamma, gamma)
+
+
+_CHUNK = scheme._CHUNK_STEPS
+
+
+# horizons whose T+1 steps fit in one chunk, fill two chunks exactly, and
+# span four; T = 1 draws no channel rows at all
+@pytest.mark.parametrize("T", [1, _CHUNK - 2, 2 * _CHUNK - 1, 3 * _CHUNK + 2])
+@pytest.mark.parametrize("kind", [FULL, NOISY], ids=["full", "noisy"])
+@pytest.mark.parametrize("cpus", [1, 2], ids=["inline", "helper"])
+def test_sample_paths_streams_across_chunks_and_blocks(monkeypatch, cpus, kind, T):
+    # the rows each role draws, in order, are those of the one-shot draws:
+    # draw_noise for (w, v), and (T-1, m) channel rows per block of m paths;
+    # with or without the helper thread
+    monkeypatch.setattr(scheme, "_usable_cpus", lambda: cpus)
+    if kind is FULL:
+        params = SystemParams.make(T, a=0.95, b=1.2, x0=0.4)
+    else:
+        params = SystemParams.make(T, a=0.95, c=0.8, d=0.6, V_vv=1.0, V_wv=0.3, x0=0.4)
+    channel = ChannelParams.make(T, P=1.0, N=np.linspace(0.5, 1.5, T))
+    B = _BLOCK_ROWS
+    for samples in (1, B - 1, 2 * B + 3):
+        runs = sample_paths(kind, params, channel, samples, 21)
+        seed = RngSeed(21)
+        x, gamma = paths_from_noise(params, *draw_noise(params, samples, seed.stream(0),
+                                                        seed.stream(1)))
+        assert np.array_equal(runs.x, x) and np.array_equal(runs.gamma, gamma)
+        n, rng = np.empty((samples, T - 1)), seed.stream(ROLE_CHANNEL)
+        for start in range(0, samples, B):
+            block = slice(start, min(start + B, samples))
+            n[block] = rng.standard_normal((T - 1, block.stop - start)).T
+        assert np.all(runs.y[:, 0] == 0.0)
+        assert np.array_equal(runs.y[:, 1:], runs.z[:, :-1] + n * np.sqrt(channel.N[:-1]))
+
+
+def _bounded(call, seconds=60):
+    """``call()`` on a watched thread; fails the test if it has not returned
+    within ``seconds``.  Returns the result or the exception raised."""
+    box = []
+
+    def run():
+        try:
+            box.append(call())
+        except Exception as exc:  # handed to the test
+            box.append(exc)
+
+    worker = threading.Thread(target=run, daemon=True)
+    worker.start()
+    worker.join(seconds)
+    assert not worker.is_alive(), "the Monte Carlo run hung"
+    return box[0]
+
+
+_HYGIENE = [(FULL, SystemParams.make(20, a=0.9)),
+            (NOISY, SystemParams.make(20, a=0.9, c=1.0, d=0.5, V_vv=1.0, V_wv=0.3))]
+
+
+@pytest.mark.parametrize("kind,params", _HYGIENE, ids=["full", "noisy"])
+def test_pipeline_helper_thread_ends_with_the_run(monkeypatch, kind, params):
+    monkeypatch.setattr(scheme, "_usable_cpus", lambda: 2)
+    channel = ChannelParams.make(20, P=1.0, N=0.5)
+    before = threading.active_count()
+    result = _bounded(lambda: monte_carlo_mse(kind, params, channel, _BLOCK_ROWS + 3, 2))
+    assert isinstance(result, scheme.RunResult)
+    assert threading.active_count() == before
+    # a step generator closed part way, past a chunk boundary, joins its helper
+    steps = scheme._pipeline(kind, params, channel, _BLOCK_ROWS + 3, 2)[1]
+    for _ in range(_CHUNK + 2):
+        next(steps)
+    assert threading.active_count() == before + 1  # exactly one helper
+    assert _bounded(steps.close) is None
+    assert threading.active_count() == before
+    # on one CPU the draws run inline, with no helper, to the same result
+    monkeypatch.setattr(scheme, "_usable_cpus", lambda: 1)
+    steps = scheme._pipeline(kind, params, channel, _BLOCK_ROWS + 3, 2)[1]
+    next(steps)
+    assert threading.active_count() == before
+    steps.close()
+    inline = monte_carlo_mse(kind, params, channel, _BLOCK_ROWS + 3, 2)
+    for field in ("mse_empirical", "stderr", "power_used"):
+        assert np.array_equal(getattr(inline, field), getattr(result, field))
+
+
+class _FailingStream:
+    """A role stream whose ``fail_at``-th ``standard_normal`` call raises."""
+
+    def __init__(self, rng, fail_at):
+        self.rng, self.fail_at, self.calls = rng, fail_at, 0
+
+    def standard_normal(self, *args, **kwargs):
+        self.calls += 1
+        if self.calls == self.fail_at:
+            raise RuntimeError("injected draw failure")
+        return self.rng.standard_normal(*args, **kwargs)
+
+
+# the first chunk, the second, and the first of the second block (21 steps)
+@pytest.mark.parametrize("fail_at", [1, 2, -(-21 // _CHUNK) + 1])
+@pytest.mark.parametrize("kind,params", _HYGIENE, ids=["full", "noisy"])
+def test_draw_error_reaches_the_caller(monkeypatch, kind, params, fail_at):
+    monkeypatch.setattr(scheme, "_usable_cpus", lambda: 2)
+    stream = RngSeed.stream
+    monkeypatch.setattr(RngSeed, "stream", lambda self, role, index=None:
+                        _FailingStream(stream(self, role, index), fail_at))
+    channel = ChannelParams.make(20, P=1.0, N=0.5)
+    before = threading.active_count()
+    error = _bounded(lambda: monte_carlo_mse(kind, params, channel, _BLOCK_ROWS + 3, 2))
+    assert isinstance(error, RuntimeError) and str(error) == "injected draw failure"
+    assert threading.active_count() == before
 
 
 @pytest.mark.parametrize("kind,params", [
