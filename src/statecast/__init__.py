@@ -34,6 +34,7 @@ from .scheme import (
     SchemeSamples,
     analytic_mse,
     monte_carlo_mse,
+    mse_floor,
     sample_paths,
 )
 
@@ -58,6 +59,7 @@ __all__ = [
     "main",
     "mean_trajectory",
     "monte_carlo_mse",
+    "mse_floor",
     "parse_config",
     "paths_from_noise",
     "power_scale",

@@ -23,7 +23,7 @@ import numpy as np
 
 from .baseline import alternating_optimize
 from .model import _SEED_BOUND, ChannelParams, SystemParams, state_variance
-from .scheme import RunResult, SchemeKind, analytic_mse, monte_carlo_mse
+from .scheme import RunResult, SchemeKind, analytic_mse, monte_carlo_mse, mse_floor
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -273,7 +273,8 @@ def _run(config, sample, certify):
     if certify:
         best = alternating_optimize(params, channel, **config.baseline,
                                     seed=config.seed, kind=config.scheme)
-        footer += [("baseline_objective", best.objective),
+        footer += [("avg_mse_floor", float(np.mean(mse_floor(config.scheme, params, channel)))),
+                   ("baseline_objective", best.objective),
                    ("baseline_gap_rel", (best.objective - avg) / avg),
                    ("baseline_restarts", best.restarts_run),
                    ("baseline_converged", best.converged)]

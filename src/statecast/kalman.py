@@ -18,11 +18,11 @@ for any V_wv.  Direct state transmission is the same scheme behind a
 noiseless sensor (c = 1, d = 0), so this one recursion serves every case.
 The ``coupled_*`` names are kept as the stable public surface.
 
-The schedule loops run on Python floats read from and written to float64
-arrays.  For a batch of K channels (``ChannelParams`` of shape (T, K)) the
-receiver schedule runs the same loop body on (K,) rows, one per step.  The
-sample-path filters and the Monte Carlo pipeline in ``scheme`` advance rows
-of paths by the same step functions.  Second moments are taken about the
+Both error variances step by r' = (alpha r + beta) / (gamma r + delta) with
+nonnegative coefficients: each schedule is one scan of 2x2 matrix products
+(``model._lft_scan``), a channel batch (T, K) its trailing axis, and the gains
+follow elementwise.  The sample-path filters and the Monte Carlo pipeline in
+``scheme`` share step functions.  Second moments are taken about the
 deterministic mean path; estimators are affine around it.
 """
 
@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import mean_trajectory
+from .model import _lft_scan, _noise_factors, mean_trajectory
 
 
 @dataclass(frozen=True)
@@ -82,49 +82,90 @@ def power_scale(sigma_sq, channel):
     return np.where(live, np.sqrt(channel.P.T / np.where(live, sigma_sq[1:], 1.0)), 0.0).T
 
 
-def _noise_views(params):
-    # per-step (V_ww, V_wv, V_vv), read element-wise as Python floats
-    V = params.V
-    return memoryview(V[:, 0, 0]), memoryview(V[:, 0, 1]), memoryview(V[:, 1, 1])
+def _column(values, batch):
+    """A time schedule as a column over the trailing axes of a batch."""
+    return values.reshape((-1,) + (1,) * len(batch))
 
 
 def transmitter_gain_schedule(params):
-    """Exact gain/variance schedules for estimating x(t) from gamma^t."""
+    """Exact gain/variance schedules for estimating x(t) from gamma^t.
+
+    Vxi(t+1) = (alpha Vxi + beta) / (c^2 Vxi + d^2 V_vv), alpha = (l11 c b -
+    l21 a d)^2 + (l22 a d)^2, beta = (b d l11 l22)^2 (``_noise_factors``).  With
+    d^2 V_vv = 0, gamma(t) reads x(t) exactly (Vxi(t+1) = b^2 V_ww) or, if c =
+    0, not at all (a^2 Vxi + b^2 V_ww).  Var p(t) is an affine scan.
+    """
     T = params.horizon
-    a, b, c, d = (memoryview(arr) for arr in (params.a, params.b, params.c, params.d))
-    ww, wv, vv = _noise_views(params)
+    a, b, c, d = params.a, params.b, params.c, params.d
+    ww, wv, vv = params.V[:, 0, 0], params.V[:, 0, 1], params.V[:, 1, 1]
+    # built in place: T-long temporaries freed between the outputs fragment
+    # the heap, which then holds them and raises the process's peak RSS
+    rows = np.empty((2, 2, T + 1))  # both scans' steps t < T; rows[0] doubles as work space
+    steps = rows[:, :, :T]
+    (alpha, beta), (gamma, delta) = steps
+    l11, l21, l22 = (f[:T] for f in _noise_factors(params))
+    # alpha = (l11 c b - l21 a d)^2 + (l22 a d)^2, beta = (b d l11 l22)^2, all
+    # four over 4^k near the noise variances (beta ~ V^2 would leave double
+    # range past 1e+-154); a step's map and rounding ignore a power of two
+    k = int(np.frexp(max(ww.max(), vv.max()))[1]) // 2
+    np.multiply(a, d[:T], out=gamma)
+    np.multiply(l22, gamma, out=delta)
+    gamma *= l21
+    np.multiply(l11, c[:T], out=alpha)
+    alpha *= b
+    alpha -= gamma
+    alpha *= alpha
+    delta *= delta
+    alpha += delta
+    np.multiply(b, d[:T], out=beta)
+    beta *= l11
+    beta *= l22
+    np.ldexp(beta, -k, out=beta)
+    beta *= beta
+    del l11, l21, l22
+    np.multiply(c[:T], c[:T], out=gamma)
+    np.multiply(d[:T], d[:T], out=delta)
+    delta *= vv[:T]
+    exact = delta == 0
+    np.multiply(a, a, out=alpha, where=exact & (c[:T] == 0))
+    np.copyto(alpha, 0.0, where=exact & (c[:T] != 0))
+    np.multiply(b, b, out=beta, where=exact)
+    np.multiply(beta, ww[:T], out=beta, where=exact)
+    np.copyto(steps[1], [[0.0], [1.0]], where=exact)
+    np.ldexp(alpha, -2 * k, out=alpha, where=~exact)
+    np.ldexp(steps[1], -2 * k, out=steps[1], where=~exact)
+    Vxi = np.zeros(T + 1)  # E xi(t)^2; x(0) is known
+    _lft_scan(steps, Vxi)
 
-    # the loop writes Python floats through views of these arrays
-    arrays = [np.empty(T + 1) for _ in range(5)] + [np.empty(T)]
-    L, Vxi, vi, sbs, fev, J = (memoryview(arr) for arr in arrays)
-
-    xi_var = 0.0  # E xi(t)^2; x(0) is known
-    pv = 0.0      # variance of the one-step predictor p(t)
-    for t, ct, dt, wvt, vvt in zip(range(T + 1), c, d, wv, vv):
-        i_var = ct * ct * xi_var + dt * dt * vvt
-        if i_var > 0:
-            lt = ct * xi_var / i_var
-            wg = dt * wvt / i_var  # gain from innovation to E{w(t) | gamma^t}
-        else:
-            lt = wg = 0.0
-        L[t], Vxi[t], vi[t] = lt, xi_var, i_var
-        sbs[t] = pv + lt * lt * i_var
-        fev[t] = (1.0 - lt * ct) * xi_var
-        if t == T:
-            break
-        # next predictor p(t+1) = a p(t) + J(t) i(t); the cross gain feeds the
-        # innovation's information about w(t) forward.
-        at, bt = a[t], b[t]
-        jt = at * lt + bt * wg
-        J[t] = jt
-        m = at - jt * ct
-        xi_var = (m * m * xi_var
-                  + bt * bt * ww[t]
-                  - 2.0 * bt * jt * dt * wvt
-                  + (jt * jt) * (dt * dt) * vvt)
-        pv = at * at * pv + jt * jt * i_var
-
-    L, Vxi, vi, sbs, fev, J = arrays
+    tmp, wg = rows[0]
+    vi = c * c
+    vi *= Vxi
+    np.multiply(d, d, out=tmp)
+    tmp *= vv
+    vi += tmp
+    live = vi > 0
+    L = np.zeros(T + 1)  # 0 where the innovation vanishes
+    np.multiply(c, Vxi, out=tmp)
+    np.divide(tmp, vi, out=L, where=live)
+    wg[:] = 0.0  # innovation -> E{w(t) | gamma^t}
+    np.multiply(d, wv, out=tmp)
+    np.divide(tmp, vi, out=wg, where=live)
+    # p(t+1) = a p(t) + J(t) i(t): the cross gain wg carries i(t)'s news of w(t)
+    J = a * L[:T]
+    wg[:T] *= b
+    J += wg[:T]
+    fev = L * c
+    np.subtract(1.0, fev, out=fev)
+    fev *= Vxi
+    np.multiply(a, a, out=alpha)  # Var p(t+1) = a^2 Var p(t) + J^2 vi(t)
+    np.multiply(J, J, out=beta)
+    beta *= vi[:T]
+    steps[1] = [[0.0], [1.0]]
+    sbs = np.zeros(T + 1)
+    _lft_scan(steps, sbs)
+    np.multiply(L, L, out=tmp)
+    tmp *= vi
+    sbs += tmp
     return GainSchedule(L=L, Vxi=Vxi, sigma_breve_sq=sbs, innovation_var=vi,
                         pred_gain=J, filtered_error_var=fev)
 
@@ -160,42 +201,45 @@ def coupled_decoder_schedule(params, channel, gains=None):
     """Exact decoder schedule for the filtered-transmission scheme.
 
     Valid for arbitrary V_wv, and for direct state transmission run as the
-    filtered scheme behind a noiseless sensor.  A (T, K) channel batch runs
-    the same loop on (K,) rows in place of Python floats.
+    filtered scheme behind a noiseless sensor.  The error r(t) in p(t) steps
+    by r' = (alpha r + J^2 vi N) / (k^2 r + k^2 L^2 vi + N), alpha = a^2 N +
+    k^2 vi (J - a L)^2: one scan, over a (T, K) channel batch as a trailing
+    axis.  K, the MSE and the filter's (m, g) follow elementwise.
     """
     T = params.horizon
     if channel.horizon != T:
         raise ValueError(f"channel has horizon {channel.horizon}, expected {T}")
     if gains is None:
         gains = transmitter_gain_schedule(params)
-    L, J, vi, Vxi = (memoryview(arr) for arr in
-                     (gains.L, gains.pred_gain, gains.innovation_var, gains.Vxi))
-
     batch = channel.P.shape[1:]
-    view = memoryview if not batch else np.asarray  # per step: a float or a (K,) row
     K = power_scale(gains.sigma_breve_sq, channel)
+    # y(t) = k p(t) + (k L i(t) + n(t)); p(t+1) = a p(t) + J i(t), t = 1 .. T-1
+    a, L, J, vi = (_column(v[1:T], batch) for v in
+                   (params.a, gains.L, gains.pred_gain, gains.innovation_var))
+    k, N = K[:T - 1], channel.N[:T - 1]
+    steps = np.empty((2, 2, T - 1) + batch)
+    (alpha, beta), (gamma, delta) = steps
+    np.multiply(k, k, out=gamma)
+    np.multiply(gamma, vi * (J - a * L) ** 2, out=alpha)
+    alpha += a * a * N
+    np.multiply(J * J * vi, N, out=beta)
+    np.multiply(gamma, L * L * vi, out=delta)
+    delta += N
     mse = np.empty((T,) + batch)
-    coef = np.empty((T - 1, 2) + batch)
-    out, step = view(mse), view(coef.reshape((-1,) + batch))
+    mse[0] = gains.pred_gain[0] ** 2 * gains.innovation_var[0]  # no output yet
+    _lft_scan(steps, mse)
 
-    # error variance of the estimate of p(1) = J(0) i(0); no channel output
-    # has arrived yet
-    r = J[0] * J[0] * vi[0]
-    out[0] = Vxi[1] + r
-    steps = zip(range(1, T), view(K), memoryview(params.a)[1:], L[1:], J[1:],
-                vi[1:], Vxi[2:], view(channel.N))
-    for t, kt, at, lt, jt, vt, xt, nt in steps:
-        # y(t) = k p(t) + (k L i(t) + n(t)); p(t+1) = a p(t) + J i(t)
-        kl = kt * lt
-        S = kt * kt * r + kl * kl * vt + nt
-        g = (at * kt * r + jt * kl * vt) / S
-        # Joseph form: p(t+1) - phat(t+1) = m (p - phat) + h i(t) - g n(t), a
-        # sum of variances, so no cancellation at high SNR
-        m, h = at - g * kt, jt - g * kl
-        r = m * m * r + h * h * vt + g * g * nt
-        out[t] = xt + r
-        step[2 * t - 2], step[2 * t - 1] = m, g
-    return CoupledDecoderSchedule(K=K, mse=mse, coef=coef)
+    # s(t+1) = m s(t) + g y(t) from r(t); (m, g) take the spent (alpha, beta)
+    r = mse[:-1]
+    delta += gamma * r  # Var y(t)
+    np.multiply(a, r, out=beta)
+    beta += J * L * vi
+    beta *= k
+    beta /= delta
+    np.subtract(a, beta * k, out=alpha)
+    mse += _column(gains.Vxi[1:], batch)
+    mse[0] = params.b[0] ** 2 * params.V[0, 0, 0]  # Var x(1): x(0) is known
+    return CoupledDecoderSchedule(K=K, mse=mse, coef=np.moveaxis(steps[0], 0, 1))
 
 
 def _receiver_step(schedule, t, s, y):

@@ -26,6 +26,7 @@ Index conventions used throughout the package:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -224,19 +225,55 @@ class ChannelParams:
 
 def mean_trajectory(params):
     """Deterministic mean path xbar(t) = a(t-1) ... a(0) x0, t = 0 .. T."""
-    T = params.horizon
-    xbar = np.empty(T + 1)
-    xbar[0] = params.x0
-    for t in range(T):
-        xbar[t + 1] = params.a[t] * xbar[t]
-    return xbar
+    # a running product, taken left to right as xbar(t+1) = xbar(t) a(t)
+    return np.multiply.accumulate(np.concatenate([[params.x0], params.a]))
+
+
+def _lft_scan(coef, out):
+    """Every iterate of r(i+1) = (alpha r(i) + beta) / (gamma r(i) + delta).
+
+    ``coef`` is (2, 2, n, ...): step i's [[alpha, beta], [gamma, delta]] at
+    ``coef[:, :, i]``, entries >= 0, denominators > 0.  r(0) is out[0], r(1) ..
+    r(n) go to out[1:], and trailing (batch) axes ride along.  Steps compose as
+    products of their matrices, with no cancellation (Kailath, Sayed & Hassibi,
+    *Linear Estimation*, 2000).  A two-level scan over about sqrt(n) blocks side
+    by side: multiply out each block (rescaled before each step by an exact power
+    of two, so no product leaves double range), carry r(0) across them, then
+    step each from its start.  The blocks depend on n alone, so a batch column
+    runs the arithmetic of its channel alone.  The scan runs on r / u, u the
+    power of two nearest max(beta) / max(delta), which balances [[alpha,
+    beta / u], [gamma u, delta]] when r is far from 1; a power of two changes
+    no rounding.
+    """
+    n = len(out) - 1
+    size = n // math.isqrt(n) if n else 1   # steps per block
+    last = max(n - 1, 0) // size * size     # first step of the last block
+    beta, delta = coef[0, 1].max(initial=0.0), coef[1, 1].max(initial=0.0)
+    digits = np.frexp(beta)[1] - np.frexp(delta)[1] if beta > 0 else 0
+    unit = np.exp2(np.clip(digits, -1000, 1000))
+    balance = np.reshape([[1.0, 1.0 / unit], [unit, 1.0]], (2, 2) + (1,) * out.ndim)
+    r = np.repeat(out[:1] / unit, last // size + 1, axis=0)  # block starts
+    prod = coef[:, :, :last:size] * balance
+    for i in range(1, size):
+        prod *= np.exp2(-np.frexp(prod.max(axis=(0, 1)))[1])
+        step = coef[:, :, i:last:size] * balance
+        prod = step[:, :1] * prod[0] + step[:, 1:] * prod[1]
+    for j in range(last // size):
+        num, den = prod[:, 0, j] * r[j] + prod[:, 1, j]
+        r[j + 1] = num / den
+    for i in range(size):
+        step = coef[:, :, i::size] * balance
+        num, den = step[:, 0] * r[:step.shape[2]] + step[:, 1]
+        r = np.divide(num, den, out=out[i + 1::size])
+    out[1:] *= unit
 
 
 def state_variance(params):
     """Variance schedule sigma^2(t) = Var x(t), t = 0 .. T.
 
-    The initial state is a known constant, so sigma^2(0) = 0 and all
-    second moments here are taken about the mean path.
+    The initial state is a known constant, so sigma^2(0) = 0 and all second
+    moments here are taken about the mean path.  The recursion runs on Python
+    floats, each entry exact to the last bit; entries past double range read +inf.
     """
     sig = np.zeros(params.horizon + 1)
     out, s = memoryview(sig), 0.0  # the loop runs on Python floats

@@ -37,7 +37,7 @@ import numpy as np
 
 from . import kalman
 from .model import (_BLOCK_ROWS, ROLE_CHANNEL, ROLE_MEASUREMENT, ROLE_PROCESS, SystemParams,
-                    _coerce_seed, _noise_factors, _plant_step, mean_trajectory)
+                    _coerce_seed, _lft_scan, _noise_factors, _plant_step, mean_trajectory)
 
 
 # Monte Carlo draws the noise rows of this many steps per chunk, one chunk
@@ -110,6 +110,31 @@ def analytic_mse(kind, params, channel):
     avg = np.mean(np.ascontiguousarray(mse.T), axis=-1)
     return RunResult(mse_analytic=mse, avg_mse_analytic=avg if avg.ndim else float(avg),
                      power_used=power)
+
+
+def mse_floor(kind, params, channel):
+    """Per-step floor on E (x(t) - xhat(t))^2, t = 1 .. T, for any causal
+    encoder and decoder of the scheme's observations, linear or not; a (T, K)
+    channel batch yields one column per channel.
+
+    xi(t) = x(t) - p(t), p(t) the transmitter's one-step predictor, is
+    independent of y^{t-1}: the error is at least Vxi(t) + R(t), R(t) the error
+    in p(t).  p(t+1) = a p(t) + J i(t) adds an innovation independent of (p(t),
+    y^{t-1}), so entropy powers add, and a channel use shrinks entropy power by
+    at most 1 + P/N (Cover & Thomas ch. 17; Tatikonda, Sahai & Mitter, IEEE TAC
+    49(9), 2004): R(1) = J(0)^2 vi(0), R(t+1) = (a^2 R + J^2 vi) / (1 + P(t)/N(t)).
+    """
+    params, gains = _scheme_params(kind, params)
+    T, batch = params.horizon, channel.P.shape[1:]
+    steps = np.zeros((2, 2, T - 1) + batch)
+    steps[0] = (kalman._column(params.a[1:] ** 2, batch),
+                kalman._column(gains.pred_gain[1:] ** 2 * gains.innovation_var[1:T], batch))
+    steps[1, 1] = 1.0 + channel.P[:-1] / channel.N[:-1]
+    floor = np.empty((T,) + batch)
+    floor[0] = gains.pred_gain[0] ** 2 * gains.innovation_var[0]
+    _lft_scan(steps, floor)
+    floor += kalman._column(gains.Vxi[1:], batch)
+    return floor
 
 
 def _pipeline(kind, params, channel, samples, seed):

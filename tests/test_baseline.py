@@ -14,6 +14,7 @@ from statecast import (
     build_H,
     coupled_decoder_filter,
     coupled_decoder_schedule,
+    mse_floor,
     paths_from_noise,
     state_variance,
 )
@@ -26,6 +27,7 @@ from statecast.baseline import (
     _shift_cols,
     _Spheres,
 )
+from test_acceptance import GRID_A, GRID_N, GRID_T
 
 FULL = SchemeKind.FULL_STATE
 NOISY = SchemeKind.NOISY_STATE
@@ -428,3 +430,18 @@ def test_alternating_optimize_memory_bounded_in_restarts():
         finally:
             tracemalloc.stop()
     assert peaks[1] <= 1.5 * peaks[0], peaks
+
+
+def test_certifier_never_beats_the_floor():
+    # the floor bounds every causal code, so no encoder the search finds on
+    # the acceptance grid (criteria 1 and 2) may score below it, converged
+    # or not; at T = 2 the two meet
+    cases = [(FULL, SystemParams.make(T, a=a), ChannelParams.make(T, P=1.0, N=N))
+             for T in GRID_T for a in GRID_A for N in GRID_N]
+    cases += [(NOISY, SystemParams.make(T, a=0.9, c=1.0, d=1.0, V_vv=1.0, V_wv=wv),
+               ChannelParams.make(T, P=1.0, N=0.5)) for T in (2, 3) for wv in (0.0, 0.3)]
+    for kind, params, channel in cases:
+        floor = float(np.mean(mse_floor(kind, params, channel)))
+        res = alternating_optimize(params, channel, restarts=4, seed=0, kind=kind)
+        assert res.objective >= floor * (1 - 1e-9), (kind, params.horizon, res.objective, floor)
+        assert analytic_mse(kind, params, channel).avg_mse_analytic >= floor * (1 - 1e-12)

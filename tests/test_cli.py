@@ -135,6 +135,7 @@ BASELINE_GOLDEN = {
         "4,1.53597636769,,,1\n"
         "5,1.61444387188,,,1\n"
         "# avg_mse_analytic = 1.36969080654\n"
+        "# avg_mse_floor = 1.268676082\n"
         "# baseline_objective = 1.33503053997\n"
         "# baseline_gap_rel = -0.0253051757363\n"
         "# baseline_restarts = 20\n"
@@ -153,6 +154,7 @@ BASELINE_GOLDEN = {
         "7,1.84988386934,,,1\n"
         "8,1.88528672842,,,1\n"
         "# avg_mse_analytic = 1.60984726339\n"
+        "# avg_mse_floor = 1.43219484112\n"
         "# baseline_objective = 1.54294496957\n"
         "# baseline_gap_rel = -0.0415581622821\n"
         "# baseline_restarts = 20\n"
@@ -242,6 +244,7 @@ SAMPLED_GOLDEN = {
     # label: (subcommand, config, stdout)
     "simulate": ("simulate", SAMPLED, SAMPLED_RECORD),
     "compare": ("compare", SAMPLED, SAMPLED_RECORD + (
+        "# avg_mse_floor = 1.20033326292\n"
         "# baseline_objective = 1.24649140922\n"
         "# baseline_gap_rel = -0.0297175868182\n"
         "# baseline_restarts = 3\n"
@@ -249,6 +252,7 @@ SAMPLED_GOLDEN = {
     )),
     "simulate-long": ("simulate", SAMPLED_LONG, SAMPLED_LONG_RECORD),
     "compare-long": ("compare", SAMPLED_LONG, SAMPLED_LONG_RECORD + (
+        "# avg_mse_floor = 1.29344963841\n"
         "# baseline_objective = 1.53834171287\n"
         "# baseline_gap_rel = -0.144017130865\n"
         "# baseline_restarts = 3\n"

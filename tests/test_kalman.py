@@ -20,6 +20,8 @@ from statecast import (
 )
 
 from oracles import (
+    condition,
+    decimal_receiver_mse,
     decoder_estimate_rows,
     decoder_reference,
     plant_basis,
@@ -267,3 +269,46 @@ def test_power_scale_conventions():
     channel = ChannelParams.make(3, P=4.0, N=1.0)
     k = power_scale(np.array([0.0, 1.0, 0.0, 16.0]), channel)
     assert_allclose(k, [2.0, 0.0, 0.5], rtol=0, atol=0)
+
+
+def _degenerate_params(rng, T):
+    """Random time-varying plant with silent (b=0), blind (c=0), noiseless
+    (d=0 or V_vv=0) steps, |a| > 1 and correlated noise mixed in."""
+    def steps(lo, hi, n, zero):
+        v = rng.uniform(lo, hi, n)
+        v[rng.random(n) < zero] = 0.0
+        return v
+
+    ww, vv = rng.uniform(0.2, 2.0, T + 1), steps(0.2, 2.0, T + 1, 0.2)
+    rho = rng.uniform(-0.9, 0.9, T + 1) * (rng.random() < 0.5)
+    return SystemParams.make(T, a=rng.uniform(-1.3, 1.3, T), b=steps(0.3, 2.0, T, 0.25),
+                             c=steps(0.3, 2.0, T + 1, 0.25), d=steps(0.2, 1.5, T + 1, 0.3),
+                             V_ww=ww, V_vv=vv, V_wv=rho * np.sqrt(ww * vv),
+                             x0=float(rng.uniform(-2.0, 2.0)))
+
+
+def test_scanned_schedules_match_the_oracles():
+    """The scanned schedules against dense conditioning and, at any SNR, the
+    60-digit receiver recursion: horizons of one to four blocks, every kind
+    of degenerate step, P/N from 1e-2 to 1e10."""
+    rng = np.random.default_rng(11)
+    for case in range(40):
+        T = int(rng.integers(2, 11))
+        params = _degenerate_params(rng, T)
+        snr = 10.0 ** rng.uniform(-2, 10, T) if case % 2 else np.full(T, 1.0)
+        N = rng.uniform(0.5, 2.0, T)
+        channel = ChannelParams.make(T, P=N * snr, N=N)
+        gains = transmitter_gain_schedule(params)
+        xrows, grows, Sigma, _ = plant_basis(params)
+        Vxi = [condition(xrows[t:t + 1], grows[:t], Sigma)[1][0] for t in range(1, T + 1)]
+        _, err_var, xb_rows = transmitter_reference(params)
+        sbs = np.einsum("ij,jk,ik->i", xb_rows, Sigma, xb_rows)
+        assert_allclose(gains.Vxi, [0.0, *Vxi], rtol=1e-9, atol=1e-10)
+        assert_allclose(gains.filtered_error_var, err_var, rtol=1e-9, atol=1e-10)
+        assert_allclose(gains.sigma_breve_sq, sbs, rtol=1e-9, atol=1e-10)
+        ds = coupled_decoder_schedule(params, channel, gains)
+        assert_allclose(ds.mse, decimal_receiver_mse(params, channel), rtol=1e-13, atol=0)
+        if case % 2 == 0:  # dense conditioning loses digits at high SNR
+            k_ref, mse_ref = decoder_reference(params, channel, xb_rows, Sigma)
+            assert_allclose(ds.K, k_ref, rtol=1e-9, atol=1e-10)
+            assert_allclose(ds.mse, mse_ref, rtol=1e-9, atol=1e-10)

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
@@ -37,6 +39,20 @@ def test_state_variance_zero_horizon_start():
     for t in range(T):
         ref[t + 1] = params.a[t] ** 2 * ref[t] + params.b[t] ** 2 * params.V[t, 0, 0]
     assert np.array_equal(state_variance(params), ref)
+
+
+def test_state_variance_overflow_reads_inf():
+    # past double range the variance is +inf from the first overflowing step
+    # on, not NaN, so the CLI's "state variance exceeds" check still fires;
+    # no floating-point warning escapes the library
+    params = SystemParams.make(200, a=1e3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        sig = state_variance(params)
+    first = int(np.argmax(np.isinf(sig)))
+    assert 50 < first < 200
+    assert np.all(np.isfinite(sig[:first])) and np.all(sig[first:] == np.inf)
+    assert np.max(sig) > 1e12
 
 
 def test_state_variance_matches_monte_carlo():

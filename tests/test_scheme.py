@@ -16,6 +16,7 @@ from statecast import (
     draw_noise,
     mean_trajectory,
     monte_carlo_mse,
+    mse_floor,
     paths_from_noise,
     power_scale,
     sample_paths,
@@ -23,10 +24,10 @@ from statecast import (
     transmitter_filter,
     transmitter_gain_schedule,
 )
-from statecast import scheme
+from statecast import cli, scheme
 from statecast.model import _BLOCK_ROWS, ROLE_CHANNEL
 
-from oracles import decimal_receiver_mse
+from oracles import decimal_receiver_mse, two_step_optimum
 
 FULL = SchemeKind.FULL_STATE
 NOISY = SchemeKind.NOISY_STATE
@@ -371,6 +372,97 @@ def test_batched_receiver_equals_single_channels_bit_for_bit(kind, params):
         one = coupled_decoder_schedule(params, channel)
         for name in ("K", "mse", "coef"):
             assert np.array_equal(getattr(sched, name)[..., k], getattr(one, name)), name
+
+
+@pytest.mark.parametrize("T,K", [(200, 6), (60, 120), (3, 120)],
+                         ids=["blocks", "blocks_wide", "one_block_wide"])
+def test_batch_equals_its_columns(T, K):
+    # the scan's blocks depend on T alone, so a batch column runs its
+    # channel's arithmetic across blocks (14 at T = 200, 8 at T = 60) and in a
+    # single block (T = 3), however wide the batch
+    rng = np.random.default_rng(K)
+    params = SystemParams.make(T, a=rng.uniform(0.5, 1.2, T), b=rng.uniform(0.0, 2.0, T),
+                               c=1.1, d=0.5, V_vv=1.0, V_wv=0.3)
+    P, N = 10.0 ** rng.uniform(-2, 6, (T, K)), rng.uniform(0.2, 2.0, (T, K))
+    batch = ChannelParams(P=P, N=N)
+    got, sched = analytic_mse(NOISY, params, batch), coupled_decoder_schedule(params, batch)
+    floor = mse_floor(NOISY, params, batch)
+    for k in range(K):
+        channel = ChannelParams(P=P[:, k], N=N[:, k])
+        want = analytic_mse(NOISY, params, channel).mse_analytic
+        assert np.array_equal(got.mse_analytic[:, k], want)
+        one = coupled_decoder_schedule(params, channel)
+        for name in ("K", "mse", "coef"):
+            assert np.array_equal(getattr(sched, name)[..., k], getattr(one, name)), name
+        assert np.array_equal(floor[:, k], mse_floor(NOISY, params, channel))
+
+
+@pytest.mark.parametrize("unit", [2.0 ** -600, 2.0 ** -400, 2.0 ** 300])
+def test_schedules_do_not_depend_on_the_variance_unit(unit):
+    # every variance scales with the noise covariances, and the scans balance
+    # their steps by a power of two, so far from 1 nothing leaves double range
+    # and a power-of-two unit changes no bit
+    rng = np.random.default_rng(4)
+    T = 300
+    plant = dict(a=rng.uniform(0.5, 1.1, T), b=rng.uniform(0.0, 2.0, T), c=1.1, d=0.5)
+    channel = ChannelParams.make(T, P=rng.uniform(0.5, 2.0, T), N=rng.uniform(0.2, 1.0, T))
+    for kind, noise in ((FULL, dict(V_ww=1.0)), (NOISY, dict(V_ww=1.0, V_vv=0.7, V_wv=0.3))):
+        one = SystemParams.make(T, **plant, **noise)
+        scaled = SystemParams.make(T, **plant, **{k: v * unit for k, v in noise.items()})
+        assert np.array_equal(analytic_mse(kind, one, channel).mse_analytic * unit,
+                              analytic_mse(kind, scaled, channel).mse_analytic)
+        assert np.array_equal(mse_floor(kind, one, channel) * unit,
+                              mse_floor(kind, scaled, channel))
+
+
+def test_schedules_stay_below_the_render_peak():
+    # at T = 1e5 the schedules must not set the memory high-water mark of an
+    # analytic run: their traced peak stays under the CSV render's
+    T = 100_000
+    params = SystemParams.make(T, a=0.9)
+    channel = ChannelParams.make(T, P=1.0, N=0.5)
+
+    def traced_peak(run):
+        tracemalloc.start()
+        try:
+            return run(), tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def schedules():
+        state_variance(params)
+        return analytic_mse(FULL, params, channel)
+
+    result, schedules_peak = traced_peak(schedules)
+    _, render_peak = traced_peak(lambda: cli._render_result(result, [("avg_mse_analytic", 1.0)]))
+    assert schedules_peak <= render_peak, (schedules_peak, render_peak)
+
+
+@pytest.mark.parametrize("kind,params", [
+    (FULL, SystemParams.make(2, a=0.9)),
+    (FULL, SystemParams.make(2, a=[1.1, -0.7], b=[0.8, 1.3], V_ww=[1.0, 0.6, 2.0])),
+    (NOISY, SystemParams.make(2, a=0.9, c=1.0, d=1.0, V_vv=1.0)),
+    (NOISY, SystemParams.make(2, a=0.9, c=1.0, d=1.0, V_vv=1.0, V_wv=0.3)),
+    (NOISY, SystemParams.make(2, a=1.1, c=0.7, d=0.5, V_vv=1.0, V_wv=-0.4)),
+], ids=["full", "full_varying", "noisy", "noisy_correlated", "unstable_correlated"])
+def test_mse_floor_is_the_two_step_optimum(kind, params):
+    # at T = 2 the best causal linear scheme sends E{p(2) | inputs} once, so
+    # it meets the floor of any causal code
+    for P, N in ((1.0, 0.5), ([2.0, 0.3], [0.4, 1.5])):
+        channel = ChannelParams.make(2, P=P, N=N)
+        optimum = two_step_optimum(params, channel, 0 if kind is FULL else 1)[0]
+        assert_allclose(np.mean(mse_floor(kind, params, channel)), optimum, rtol=1e-12, atol=0)
+
+
+def test_mse_floor_steady_state():
+    # FullState a = 0.9, P = 1, N = 0.5: D = 1 + 0.81 D / 3, D = 1/0.73; an
+    # unstable plant keeps a finite floor, 1 / (1 - 1.21/3)
+    channel = ChannelParams.make(400, P=1.0, N=0.5)
+    for a, steady in ((0.9, 1.0 / 0.73), (1.1, 1.0 / (1.0 - 1.21 / 3.0))):
+        params = SystemParams.make(400, a=a)
+        floor = mse_floor(FULL, params, channel)
+        assert_allclose(floor[-1], steady, rtol=1e-12)
+        assert np.all(floor <= analytic_mse(FULL, params, channel).mse_analytic * (1 + 1e-12))
 
 
 def test_channel_batches_are_validated():
