@@ -6,9 +6,9 @@ Carlo columns), ``baseline`` (brute-force optimizer footer), ``compare``
 summary table).
 
 Output is CSV with header ``t,mse_analytic,mse_empirical,stderr,power_used``,
-12 significant digits, LF line endings and ``#``-prefixed footer lines, so
-fixed (config, seed) runs are byte-identical.  Exit codes: 0 success, 2
-config error, 3 numerical failure (non-finite value in the output).
+12 significant digits (one %-format per record), LF line endings and
+``#``-prefixed footer lines, so fixed (config, seed) runs are byte-identical.
+Exit codes: 0 success, 2 config error, 3 numerical failure (non-finite value).
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ import numpy as np
 
 from .baseline import alternating_optimize
 from .model import _SEED_BOUND, ChannelParams, SystemParams, state_variance
-from .scheme import RunResult, SchemeKind, analytic_mse, monte_carlo_mse, mse_floor
+from .scheme import SchemeKind, analytic_mse, monte_carlo_mse, mse_floor
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -204,26 +204,47 @@ def _fmt(value):
     return f"{float(value):.12g}"
 
 
-def _table(columns):
-    """CSV lines from columns of numbers (None: empty cells), with one
-    finiteness check per column and one format call per line."""
-    specs, data = [], []
+_HEADER = "t,mse_analytic,mse_empirical,stderr,power_used\n"
+
+
+def _bodies(columns):
+    """Yield each record's CSV rows as one string.  A column is None (empty
+    cells), a (T,) array all records share or a (T, K) array, one column per
+    record.  A record's rows are one %-format, ``(line * T) % values``; a column
+    of one bit pattern in a record (bits: -0.0 prints -0) is literal text of
+    the line.  One finiteness check per column; a record converts only its own
+    values to Python numbers, so a batch never holds them all at once."""
+    cells, records, rows = [], 1, 0
     for column in columns:
         if column is None:
-            specs.append("")
+            cells.append(([True], [""], None))
             continue
         arr = np.asarray(column)
         if not np.isfinite(arr).all():
             raise NumericalError("non-finite value in output")
-        specs.append("{}" if arr.dtype.kind in "iu" else "{:.12g}")
-        data.append(arr.tolist())
-    return map(",".join(specs).format, *data) if data else ()
+        spec = "%d" if arr.dtype.kind in "iu" else "%.12g"
+        arr = arr[:, None] if arr.ndim == 1 else arr
+        bits = arr if spec == "%d" else arr.astype(float, copy=False).view(np.int64)
+        same = ((bits == bits[:1]).all(axis=0) & (len(arr) > 0)).tolist()
+        first = [spec % v for v in arr[0].tolist()] if any(same) else [spec] * len(same)
+        cells.append((same, [f if s else spec for f, s in zip(first, same)], arr))
+        records, rows = max(records, arr.shape[1]), len(arr)
+    for k in range(records):
+        line, varying = [], []
+        for same, texts, arr in cells:
+            j = k if len(same) > 1 else 0
+            line.append(texts[j])
+            if not same[j]:
+                varying.append(arr[:, j].tolist())
+        flat = [None] * (rows * len(varying))
+        for i, values in enumerate(varying):
+            flat[i::len(varying)] = values
+        yield (",".join(line) + "\n") * rows % tuple(flat)
 
 
 def _render(columns, footer):
-    lines = ["t,mse_analytic,mse_empirical,stderr,power_used", *_table(columns)]
-    lines += [f"# {key} = {_fmt(value)}" for key, value in footer]
-    return "\n".join(lines) + "\n"
+    return _HEADER + next(_bodies(columns)) + "".join(
+        f"# {key} = {_fmt(value)}\n" for key, value in footer)
 
 
 def render_record(rows, footer):
@@ -233,10 +254,13 @@ def render_record(rows, footer):
                     for column in zip(*rows)], footer)
 
 
+def _columns(result):
+    return (np.arange(1, len(result.mse_analytic) + 1), result.mse_analytic,
+            result.mse_empirical, result.stderr, result.power_used)
+
+
 def _render_result(result, footer):
-    steps = np.arange(1, len(result.mse_analytic) + 1)
-    return _render((steps, result.mse_analytic, result.mse_empirical,
-                    result.stderr, result.power_used), footer)
+    return _render(_columns(result), footer)
 
 
 def _warn_variance(params):
@@ -283,8 +307,8 @@ def _run(config, sample, certify):
 
 
 def _sweep(config):
-    """Each swept value's '# sweep' line and record, then the summary.  P and
-    N sweeps share one transmitter schedule: one run on a (T, K) channel batch."""
+    """Each swept value's '# sweep' line and record, then the summary.  P and N
+    sweeps run and render as one (T, K) channel batch: one transmitter schedule."""
     if config.sweep is None:
         raise ConfigError("sweep", "section is required for the sweep subcommand")
     field, values = config.sweep["field"], config.sweep["values"]
@@ -294,6 +318,7 @@ def _sweep(config):
                   file=sys.stderr)
         results = (analytic_mse(config.scheme, _warn_variance(config.system_params(a=v)),
                                 config.channel_params()) for v in values)
+        records = ((next(_bodies(_columns(result))), result.avg_mse_analytic) for result in results)
     else:
         params = _warn_variance(config.system_params())
         other = "N" if field == "P" else "P"
@@ -301,15 +326,14 @@ def _sweep(config):
         fixed = np.reshape(config.channel[other], (-1, 1))
         batch = analytic_mse(config.scheme, params, ChannelParams(
             **{field: np.broadcast_to(values, shape), other: np.broadcast_to(fixed, shape)}))
-        results = map(RunResult, batch.mse_analytic.T, batch.avg_mse_analytic.tolist(),
-                      batch.power_used.T)
+        records = zip(_bodies(_columns(batch)), batch.avg_mse_analytic.tolist())
     pieces, averages = [], []
-    for value, result in zip(values, results):
-        averages.append(result.avg_mse_analytic)
-        pieces.append(f"# sweep {field} = {_fmt(value)}\n")
-        pieces.append(_render_result(result, [("avg_mse_analytic", result.avg_mse_analytic)]))
-    summary = [f"{field},avg_mse_analytic", *_table((values, averages))]
-    pieces.append("# sweep summary\n" + "\n".join(summary) + "\n")
+    for value, (body, average) in zip(values, records):
+        averages.append(average)
+        pieces.append(f"# sweep {field} = {_fmt(value)}\n{_HEADER}{body}"
+                      f"# avg_mse_analytic = {_fmt(average)}\n")
+    summary = next(_bodies((values, averages)))
+    pieces.append(f"# sweep summary\n{field},avg_mse_analytic\n{summary}")
     return "".join(pieces)
 
 

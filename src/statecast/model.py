@@ -48,6 +48,8 @@ _BLOCK_ROWS = 2048
 
 
 def _as_readonly(arr):
+    if arr.dtype == float and arr.flags.owndata and not arr.flags.writeable:
+        return arr  # read-only and its own, as another SystemParams' arrays: shared
     out = np.array(arr, dtype=float)
     out.setflags(write=False)
     return out
@@ -243,7 +245,8 @@ def _lft_scan(coef, out):
     runs the arithmetic of its channel alone.  The scan runs on r / u, u the
     power of two nearest max(beta) / max(delta), which balances [[alpha,
     beta / u], [gamma u, delta]] when r is far from 1; a power of two changes
-    no rounding.
+    no rounding.  Past double range an iterate reads +inf: the finite inputs
+    leave NaN only where 0 * inf or inf / inf follows an overflow.
     """
     n = len(out) - 1
     size = n // math.isqrt(n) if n else 1   # steps per block
@@ -266,6 +269,7 @@ def _lft_scan(coef, out):
         num, den = step[:, 0] * r[:step.shape[2]] + step[:, 1]
         r = np.divide(num, den, out=out[i + 1::size])
     out[1:] *= unit
+    np.copyto(out, np.inf, where=np.isnan(out))
 
 
 def state_variance(params):

@@ -87,12 +87,13 @@ class SchemeSamples:
     xhat: np.ndarray
 
 
-def _scheme_params(kind, params):
-    # FullState is the filtered scheme behind a noiseless sensor gamma = x
+def _gains(kind, params):
+    # FullState is the filtered scheme behind a noiseless sensor gamma = x; the
+    # decoder reads a, b(0) and V_ww(0) only, so it keeps the caller's params
     if SchemeKind(kind) is SchemeKind.FULL_STATE:
         params = SystemParams.make(params.horizon, params.a, params.b, c=1.0, d=0.0,
                                    V_ww=params.V[:, 0, 0], x0=params.x0)
-    return params, kalman.transmitter_gain_schedule(params)
+    return kalman.transmitter_gain_schedule(params)
 
 
 def analytic_mse(kind, params, channel):
@@ -102,7 +103,7 @@ def analytic_mse(kind, params, channel):
     FullState runs them behind a noiseless sensor.  A (T, K) channel batch
     shares one transmitter schedule and yields one column per channel.
     """
-    params, gains = _scheme_params(kind, params)
+    gains = _gains(kind, params)
     mse = kalman.coupled_decoder_schedule(params, channel, gains).mse
     # P.T puts time last, so the (T,) mask broadcasts over a (T, K) batch
     power = np.where(gains.sigma_breve_sq[1:] > 0, channel.P.T, 0.0).T
@@ -124,7 +125,7 @@ def mse_floor(kind, params, channel):
     at most 1 + P/N (Cover & Thomas ch. 17; Tatikonda, Sahai & Mitter, IEEE TAC
     49(9), 2004): R(1) = J(0)^2 vi(0), R(t+1) = (a^2 R + J^2 vi) / (1 + P(t)/N(t)).
     """
-    params, gains = _scheme_params(kind, params)
+    gains = _gains(kind, params)
     T, batch = params.horizon, channel.P.shape[1:]
     steps = np.zeros((2, 2, T - 1) + batch)
     steps[0] = (kalman._column(params.a[1:] ** 2, batch),
@@ -155,7 +156,7 @@ def _pipeline(kind, params, channel, samples, seed):
     if channel.P.ndim != 1:
         raise ValueError("Monte Carlo runs one channel, not a (T, K) batch")
     full = SchemeKind(kind) is SchemeKind.FULL_STATE
-    params, gains = _scheme_params(kind, params)
+    gains = _gains(kind, params)
     schedule = kalman.coupled_decoder_schedule(params, channel, gains)
     T, xbar, k, sd = params.horizon, mean_trajectory(params), schedule.K, np.sqrt(channel.N)
     l11, l21, l22 = _noise_factors(params)

@@ -8,7 +8,8 @@ conditioning formula.  No recursion from the package is reused, so agreement
 with the package's schedules and filters is meaningful evidence.
 ``decimal_receiver_mse`` is the one recursion here: the textbook two-state
 Kalman filter in high-precision decimal arithmetic, a reference for the
-digits double precision can lose at high SNR.
+digits double precision can lose at high SNR.  ``reference_record`` writes
+the CLI's CSV one cell at a time.
 """
 
 import decimal
@@ -296,3 +297,26 @@ def decimal_receiver_mse(params, channel, digits=60):
             s11 = ASA[1][1] + q11 - g[1] * g[1] * S
             mse.append(s00)
         return np.array([float(m) for m in mse])
+
+
+CSV_HEADER = "t,mse_analytic,mse_empirical,stderr,power_used\n"
+
+
+def reference_rows(rows):
+    """CSV rows one line and one cell at a time: ``format(v, ".12g")`` of each
+    value, an empty cell for None.  Below 1e12 this prints an integer as the
+    CLI's integer columns do."""
+    return "".join(",".join("" if v is None else format(v, ".12g") for v in row) + "\n"
+                   for row in rows)
+
+
+def reference_record(rows, footer):
+    """The CLI's CSV record: header, ``reference_rows`` and '# key = value'
+    footer lines (bools as true/false, integers in full, floats at 12 digits)."""
+    def text(v):
+        if isinstance(v, bool):
+            return "true" if v else "false"
+        return str(v) if isinstance(v, int) else format(v, ".12g")
+
+    return CSV_HEADER + reference_rows(rows) + "".join(
+        f"# {key} = {text(value)}\n" for key, value in footer)

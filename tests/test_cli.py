@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import warnings
@@ -6,7 +7,9 @@ import numpy as np
 import pytest
 
 from statecast import ExperimentConfig, main, parse_config
-from statecast.cli import ConfigError, NumericalError, render_record
+from statecast.cli import ConfigError, NumericalError, _bodies, render_record
+
+from oracles import reference_record, reference_rows
 
 BASE = {
     "horizon": 2,
@@ -270,6 +273,53 @@ def test_sampled_golden_output(tmp_path, capsys, label):
     assert err == ""
 
 
+# Configs at the benchmark's shapes, drawn here from fixed seeds: a P sweep
+# of 1,000 geometric values at T = 50 (coupled NoisyState), an N sweep over a
+# time-varying P, an a sweep that crosses |a| = 1, and a T = 1e5 FullState run
+# with a drifting a.  Their outputs' sha256 pin every byte.
+def _shaped_config(label):
+    rng = np.random.default_rng([2026, 10, 18, ord(label[-1])])
+    noisy = {"a": float(rng.uniform(0.85, 0.95)), "c": 1.0, "d": float(rng.uniform(0.4, 0.6)),
+             "V_vv": 1.0, "V_wv": float(rng.uniform(0.2, 0.4))}
+    P, N = float(rng.uniform(0.8, 1.2)), float(rng.uniform(0.4, 0.6))
+    if label == "analytic":
+        T = 100_000
+        drift = 0.04 * np.sin(2 * np.pi * np.arange(T) / 1300.0) + 0.01 * rng.standard_normal(T)
+        a = np.clip(0.89 + drift, 0.8, 0.99).tolist()
+        return "analytic", {"horizon": T, "system": {"a": a}, "channel": {"P": P, "N": N},
+                            "scheme": "FullState"}
+    config = {"horizon": 50, "system": noisy, "channel": {"P": P, "N": N}, "scheme": "NoisyState"}
+    if label == "sweep_P":
+        values = np.geomspace(rng.uniform(0.08, 0.12), rng.uniform(8, 12), 1000)
+    elif label == "sweep_N":
+        config["channel"]["P"] = rng.uniform(0.5, 2.0, 50).tolist()
+        values = np.geomspace(1e-3, 1e3, 300)
+    else:
+        values = np.linspace(-1.2, 1.2, 61)
+    config["sweep"] = {"field": label[-1], "values": values.tolist()}
+    return "sweep", config
+
+
+SHAPED_DIGESTS = {
+    "analytic": "9ad2b719ea5b083ccb076083a361c75bd1d35e8b22c54d2adeafed4c5ada935a",
+    "sweep_N": "b5ec548375b87a1c087be8414ff979895bf08cb83450c7c16ffbf0dddaa3b275",
+    "sweep_P": "e1a4e97ba45f4443066f161a25bd42bc827fb82c5e32a96f81892d74007da1fd",
+    "sweep_a": "017f9ed7b51f3fe6a57f7b1e186b20be4037b51501dc9ca66298184f89a9a9cb",
+}
+
+
+@pytest.mark.parametrize("label", sorted(SHAPED_DIGESTS))
+def test_benchmark_shaped_outputs_keep_their_bytes(tmp_path, capsys, label):
+    command, config = _shaped_config(label)
+    dest = tmp_path / "out.csv"
+    code, out, err = _run(capsys, [command, "--config", _write(tmp_path, config),
+                                   "--out", str(dest)])
+    assert code == 0 and out == ""
+    assert err == ("warning: |a| > 1: state variance grows geometrically with t\n"
+                   if label == "sweep_a" else "")
+    assert hashlib.sha256(dest.read_bytes()).hexdigest() == SHAPED_DIGESTS[label]
+
+
 def test_baseline_refuses_large_horizons(tmp_path, capsys):
     cfg = _write(tmp_path, dict(BASE, horizon=51))
     code, _, err = _run(capsys, ["baseline", "--config", cfg])
@@ -508,6 +558,77 @@ def test_render_record_rejects_non_finite_values(column, bad):
         rows[1][column] = bad
     with pytest.raises(NumericalError):
         render_record(rows, footer)
+
+
+# Values whose 12-digit text is easy to get wrong: decimal ties (the 13th
+# digit a 5 followed by binary noise), signed zeros and magnitudes near the
+# ends of double range.
+TRICKY = (2.2617194955150004, 2.1326495262850003, 2.468842836905001, 0.0, -0.0,
+          1e300, -3.3e-300, 1.7976931348623157e308, 5e-324, 123456789012.5, 1e-13)
+
+
+def _random_column(rng, T, kind):
+    """T entries of one kind: one value repeated, signed zeros, varying
+    floats, ints, or ints and floats mixed (ints below 1e12)."""
+    def value():
+        if rng.random() < 0.3:
+            return float(rng.choice(TRICKY))
+        return float(rng.choice([-1, 1]) * rng.lognormal(0.0, 20.0))
+
+    if kind == "constant":
+        return [value()] * T
+    if kind == "zeros":
+        return [float(v) for v in rng.choice([0.0, -0.0], T)]
+    if kind == "int":
+        return [int(v) for v in rng.integers(-10**11, 10**11, T)]
+    if kind == "mixed":
+        return [int(rng.integers(-99, 99)) if rng.random() < 0.5 else value() for _ in range(T)]
+    return [value() for _ in range(T)]
+
+
+KINDS = ("constant", "zeros", "int", "mixed", "varying")
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_render_record_matches_the_cell_by_cell_reference(seed):
+    rng = np.random.default_rng(seed)
+    T = int(rng.choice([0, 1, 2, 3, 17, 120]))
+    columns = [None if rng.random() < 0.2 else _random_column(rng, T, rng.choice(KINDS))
+               for _ in range(5)]
+    rows = list(zip(*[[None] * T if c is None else c for c in columns]))
+    footer = [("avg_mse_analytic", float(rng.choice(TRICKY))), ("samples", T),
+              ("baseline_converged", bool(seed % 2))]
+    assert render_record(rows, footer) == reference_record(rows, footer)
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_batch_rendering_matches_the_reference_per_record(seed):
+    # shared (T,) columns beside (T, K) ones whose records differ in which
+    # columns hold one value: each record must read as if rendered alone
+    rng = np.random.default_rng([7, seed])
+    T, K = int(rng.choice([0, 1, 2, 5, 50])), int(rng.choice([1, 2, 3, 8]))
+
+    def batch(offset):
+        kinds = [KINDS[(k + offset) % len(KINDS)] for k in range(K)]
+        floats = [[float(v) for v in _random_column(rng, T, kind)] for kind in kinds]
+        return np.array(floats, dtype=float).reshape(K, T).T
+
+    columns = [np.arange(1, T + 1), batch(seed), None,
+               np.array(_random_column(rng, T, rng.choice(("constant", "zeros", "varying")))),
+               batch(seed + 2)]
+    bodies = list(_bodies(columns))
+    assert len(bodies) == K
+    for k, body in enumerate(bodies):
+        record = [[None] * T if c is None else (c if c.ndim == 1 else c[:, k]).tolist()
+                  for c in columns]
+        assert body == reference_rows(zip(*record))
+
+
+def test_batch_rendering_checks_every_record():
+    mse = np.ones((3, 4))
+    mse[2, 3] = np.nan
+    with pytest.raises(NumericalError):
+        next(_bodies((np.arange(1, 4), mse, None, None, np.ones((3, 4)))))
 
 
 def test_sweep_requires_sweep_section(tmp_path, capsys):

@@ -7,7 +7,9 @@ from numpy.testing import assert_allclose
 from statecast import (
     ChannelParams,
     RngSeed,
+    SchemeKind,
     SystemParams,
+    analytic_mse,
     coupled_decoder_filter,
     coupled_decoder_schedule,
     draw_noise,
@@ -312,3 +314,25 @@ def test_scanned_schedules_match_the_oracles():
             k_ref, mse_ref = decoder_reference(params, channel, xb_rows, Sigma)
             assert_allclose(ds.K, k_ref, rtol=1e-9, atol=1e-10)
             assert_allclose(ds.mse, mse_ref, rtol=1e-9, atol=1e-10)
+
+
+def test_overflowing_schedule_reads_inf_not_nan():
+    """a = 1e3 takes Var p(t) past double range at t = 53.  Each later step of
+    the affine scan (gamma = 0) must read +inf, as a step-by-step float loop
+    does, not 0 * inf = NaN; the CLI then reports the power budget as spent."""
+    T = 200
+    params = SystemParams.make(T, a=1e3)
+    with np.errstate(all="ignore"):
+        gains = transmitter_gain_schedule(params)
+        result = analytic_mse(SchemeKind.FULL_STATE, params, ChannelParams.make(T, P=1.0, N=1.0))
+    a, L, J, vi = (v.tolist() for v in (params.a, gains.L, gains.pred_gain, gains.innovation_var))
+    pv, ref = 0.0, []
+    for t in range(T + 1):  # Python float products overflow to inf without raising
+        ref.append(pv + L[t] * L[t] * vi[t])
+        if t < T:
+            pv = a[t] * a[t] * pv + J[t] * J[t] * vi[t]
+    sbs = gains.sigma_breve_sq
+    assert not np.isnan(sbs).any()
+    assert np.array_equal(np.isinf(sbs), np.isinf(ref)) and np.isinf(sbs).sum() == 148
+    assert_allclose(sbs[np.isfinite(sbs)], np.array(ref)[np.isfinite(ref)], rtol=1e-13)
+    assert np.all(result.power_used == 1.0)

@@ -126,6 +126,20 @@ def test_params_arrays_are_read_only():
         params.a[0] = 1.0
 
 
+def test_params_copy_inputs_and_share_frozen_arrays():
+    # a caller's array, or a read-only view of it, is copied: writing it later
+    # leaves the params alone; another params' own arrays are shared
+    a = np.full(3, 0.5)
+    view = a[:]
+    view.setflags(write=False)
+    params = SystemParams.make(3, a=a, b=view)
+    a[0] = 2.0
+    assert params.a[0] == 0.5 and params.b[0] == 0.5
+    again = SystemParams.make(3, a=params.a, b=params.b, c=params.c, V_ww=params.V[:, 0, 0])
+    assert again.a is params.a and again.b is params.b and again.c is params.c
+    assert not (again.a.flags.writeable or again.V.flags.writeable)
+
+
 def test_mean_trajectory_propagates_x0():
     params = SystemParams.make(3, a=0.5, b=2.0, x0=8.0)
     assert_allclose(mean_trajectory(params), [8.0, 4.0, 2.0, 1.0])
