@@ -327,14 +327,12 @@ def _sweep(config):
         batch = analytic_mse(config.scheme, params, ChannelParams(
             **{field: np.broadcast_to(values, shape), other: np.broadcast_to(fixed, shape)}))
         records = zip(_bodies(_columns(batch)), batch.avg_mse_analytic.tolist())
-    pieces, averages = [], []
+    pieces, summary = [], [f"# sweep summary\n{field},avg_mse_analytic\n"]
     for value, (body, average) in zip(values, records):
-        averages.append(average)
-        pieces.append(f"# sweep {field} = {_fmt(value)}\n{_HEADER}{body}"
-                      f"# avg_mse_analytic = {_fmt(average)}\n")
-    summary = next(_bodies((values, averages)))
-    pieces.append(f"# sweep summary\n{field},avg_mse_analytic\n{summary}")
-    return "".join(pieces)
+        value, average = _fmt(value), _fmt(average)  # once, for the record and the summary
+        pieces.append(f"# sweep {field} = {value}\n{_HEADER}{body}# avg_mse_analytic = {average}\n")
+        summary.append(f"{value},{average}\n")
+    return "".join(pieces + summary)
 
 
 _RUNNERS = {

@@ -16,9 +16,10 @@ Index conventions used throughout the package:
 
 * ``a``, ``b`` have length T; entry t drives the transition from t to t+1.
 * ``c``, ``d``, ``V`` are stored with T+1 entries so that the final
-  observation gamma(T) is defined.  Inputs of length T are accepted and the
-  last entry is reused for step T (for constant parameters the two
-  conventions coincide).
+  observation gamma(T) is defined.  ``c``, ``d`` and ``make``'s ``V_*`` may
+  have T entries, the last reused for step T (for constant parameters the two
+  conventions coincide); ``V`` itself is given with T+1 blocks.
+* A scalar per-step input repeats at every step.
 * Arrays indexed "1 .. T" (z, y, xhat, P, N, per-step errors) are stored
   0-based: element i corresponds to time t = i + 1, except y where element i
   is y(i) and y[0] == 0.
@@ -60,20 +61,19 @@ def _require_finite(value, name):
         raise ValueError(f"{name} must be finite")
 
 
-def _broadcast(value, length, name):
+def _per_step(value, n, name, extend=False):
+    """``value`` as n per-step entries.  A scalar repeats n times; with ``extend``
+    a sequence of n - 1 entries reuses its last entry for t = T."""
     arr = np.asarray(value, dtype=float)
     if arr.ndim == 0:
-        return np.full(length, float(arr))
+        return np.full(n, float(arr))
     if arr.ndim != 1:
         raise ValueError(f"{name} must be a scalar or 1-D sequence")
-    return arr
-
-
-def _sized(value, length, name):
-    """``_broadcast``, and the result must have exactly ``length`` entries."""
-    arr = _broadcast(value, length, name)
-    if arr.size != length:
-        raise ValueError(f"{name} has length {arr.size}, expected {length}")
+    if extend and arr.size == n - 1:
+        return np.concatenate([arr, arr[-1:]])
+    if arr.size != n:
+        expected = f"{n - 1} or {n}" if extend else n
+        raise ValueError(f"{name} has length {arr.size}, expected {expected}")
     return arr
 
 
@@ -84,7 +84,9 @@ class RngSeed:
     seed: int
 
     def __post_init__(self):
-        if not (0 <= int(self.seed) < _SEED_BOUND):
+        # int() would truncate 1.9 to seed 1's draws; a bool is not a seed either
+        if (not isinstance(self.seed, (int, np.integer)) or isinstance(self.seed, bool)
+                or not 0 <= int(self.seed) < _SEED_BOUND):
             raise ValueError("seed must be a 64-bit unsigned integer")
         object.__setattr__(self, "seed", int(self.seed))
 
@@ -119,26 +121,12 @@ class SystemParams:
         if a.ndim != 1 or a.size < 1:
             raise ValueError("a must be a 1-D sequence of length T >= 1")
         T = a.size
-        b = _sized(self.b, T, "b")
-
-        def obs_seq(value, name):
-            arr = _broadcast(value, T + 1, name)
-            if arr.size == T:  # per-transition input: reuse the last entry at t = T
-                arr = np.concatenate([arr, arr[-1:]])
-            if arr.size != T + 1:
-                raise ValueError(f"{name} has length {arr.size}, expected {T} or {T + 1}")
-            return arr
-
-        c = obs_seq(self.c, "c")
-        d = obs_seq(self.d, "d")
-
+        b = _per_step(self.b, T, "b")
+        c = _per_step(self.c, T + 1, "c", extend=True)
+        d = _per_step(self.d, T + 1, "d", extend=True)
         V = np.asarray(self.V, dtype=float)
-        if V.ndim == 2 and V.shape == (2, 2):
-            V = np.broadcast_to(V, (T + 1, 2, 2)).copy()
-        if V.shape == (T, 2, 2):
-            V = np.concatenate([V, V[-1:]], axis=0)
         if V.shape != (T + 1, 2, 2):
-            raise ValueError(f"V has shape {V.shape}, expected ({T} or {T + 1}, 2, 2)")
+            raise ValueError(f"V has shape {V.shape}, expected ({T + 1}, 2, 2)")
         x0 = float(self.x0)
         for name, arr in (("a", a), ("b", b), ("c", c), ("d", d), ("V", V), ("x0", x0)):
             _require_finite(arr, name)
@@ -165,30 +153,14 @@ class SystemParams:
     @classmethod
     def make(cls, T, a, b=1.0, c=1.0, d=0.0, V_ww=1.0, V_vv=0.0, V_wv=0.0, x0=0.0):
         """Build params from scalars or sequences; scalars broadcast to the horizon."""
-        a_arr = _sized(a, T, "a")
-        # scalars take the length of the V_* arrays given, T+1 if none is
-        n = max((np.size(v) for v in (V_ww, V_vv, V_wv) if np.size(v) > 1), default=T + 1)
-        ww = _broadcast(V_ww, n, "V_ww")
-        vv = _broadcast(V_vv, n, "V_vv")
-        wv = _broadcast(V_wv, n, "V_wv")
-        if n not in (T, T + 1):
-            raise ValueError("V_* entries must have length T or T+1 (or be scalars)")
-
-        def pad(arr):
-            if arr.size == n:
-                return arr
-            if arr.size == 1:
-                return np.full(n, arr[0])
+        a = _per_step(a, T, "a")
+        ww = _per_step(V_ww, T + 1, "V_ww", extend=True)
+        vv = _per_step(V_vv, T + 1, "V_vv", extend=True)
+        wv = _per_step(V_wv, T + 1, "V_wv", extend=True)
+        if len({np.size(v) for v in (V_ww, V_vv, V_wv) if np.ndim(v)}) > 1:
             raise ValueError("V_* sequences must share one length")
-
-        ww, vv, wv = pad(ww), pad(vv), pad(wv)
-        V = np.empty((n, 2, 2))
-        V[:, 0, 0] = ww
-        V[:, 1, 1] = vv
-        V[:, 0, 1] = wv
-        V[:, 1, 0] = wv
-        return cls(a=a_arr, b=_broadcast(b, T, "b"), c=_broadcast(c, T + 1, "c"),
-                   d=_broadcast(d, T + 1, "d"), V=V, x0=x0)
+        V = np.stack([ww, wv, wv, vv], axis=1).reshape(T + 1, 2, 2)
+        return cls(a=a, b=b, c=c, d=d, V=V, x0=x0)
 
 
 @dataclass(frozen=True)
@@ -222,7 +194,7 @@ class ChannelParams:
 
     @classmethod
     def make(cls, T, P, N):
-        return cls(P=_sized(P, T, "P"), N=_sized(N, T, "N"))
+        return cls(P=_per_step(P, T, "P"), N=_per_step(N, T, "N"))
 
 
 def mean_trajectory(params):

@@ -1,3 +1,4 @@
+import dataclasses
 import warnings
 
 import numpy as np
@@ -7,12 +8,14 @@ from numpy.testing import assert_allclose, assert_array_equal
 from statecast import (
     ChannelParams,
     RngSeed,
+    SchemeKind,
     SystemParams,
     draw_noise,
     mean_trajectory,
     paths_from_noise,
     state_variance,
 )
+from statecast import scheme
 from statecast.model import _BLOCK_ROWS
 
 
@@ -86,7 +89,7 @@ def test_make_extends_length_T_observation_arrays():
 
 @pytest.mark.parametrize("length", [3, 4])  # T and T+1 entries at T=3
 def test_make_accepts_a_lone_V_array(length):
-    # each V_* may be a per-step array on its own; the scalars take its length
+    # each V_* may be a per-step array on its own; the scalar ones repeat
     scalars = {"V_ww": 2.0, "V_vv": 1.0, "V_wv": 0.1}
     values = [0.5, 0.4, 0.3, 0.2][:length]
     for name in scalars:
@@ -94,6 +97,137 @@ def test_make_accepts_a_lone_V_array(length):
         arrays = {key: [value] * length for key, value in scalars.items()}
         every = SystemParams.make(3, a=0.9, **{**arrays, name: values})
         assert_array_equal(lone.V, every.V)
+
+
+def _blocks(ww, vv, wv):
+    """V as (T+1, 2, 2) blocks [[V_ww, V_wv], [V_wv, V_vv]] from per-step lists."""
+    return np.array([[[w, c], [c, v]] for w, v, c in zip(ww, vv, wv)])
+
+
+# every input form the package, its demos, tests and benchmark pass, at T = 3:
+# make's keywords and the exact arrays they build
+_INPUT_FORMS = {
+    "scalars": (
+        dict(a=0.9, b=2.0, c=1.5, d=0.5, V_ww=1.0, V_vv=2.0, V_wv=0.3, x0=1.0),
+        dict(a=[0.9] * 3, b=[2.0] * 3, c=[1.5] * 4, d=[0.5] * 4,
+             V=_blocks([1.0] * 4, [2.0] * 4, [0.3] * 4), x0=1.0)),
+    "defaults": (
+        dict(a=0.9),
+        dict(a=[0.9] * 3, b=[1.0] * 3, c=[1.0] * 4, d=[0.0] * 4,
+             V=_blocks([1.0] * 4, [0.0] * 4, [0.0] * 4), x0=0.0)),
+    "T entries": (
+        dict(a=[0.5, 0.9, 1.1], b=[1.0, 0.0, 2.0], c=[1.0, 2.0, 3.0], d=[0.1, 0.2, 0.3],
+             V_ww=[1.0, 2.0, 3.0], V_vv=[4.0, 5.0, 6.0], V_wv=[0.1, 0.2, 0.3]),
+        dict(a=[0.5, 0.9, 1.1], b=[1.0, 0.0, 2.0], c=[1.0, 2.0, 3.0, 3.0],
+             d=[0.1, 0.2, 0.3, 0.3],
+             V=_blocks([1.0, 2.0, 3.0, 3.0], [4.0, 5.0, 6.0, 6.0], [0.1, 0.2, 0.3, 0.3]),
+             x0=0.0)),
+    "T+1 entries": (
+        dict(a=np.array([0.5, 0.9, 1.1]), b=np.array([1.0, 0.0, 2.0]),
+             c=np.array([1.0, 2.0, 3.0, 4.0]), d=[0.1, 0.2, 0.3, 0.4],
+             V_ww=np.array([1.0, 2.0, 3.0, 4.0]), V_vv=[4.0, 5.0, 6.0, 7.0],
+             V_wv=[0.1, 0.2, 0.3, 0.4], x0=-2),
+        dict(a=[0.5, 0.9, 1.1], b=[1.0, 0.0, 2.0], c=[1.0, 2.0, 3.0, 4.0],
+             d=[0.1, 0.2, 0.3, 0.4],
+             V=_blocks([1.0, 2.0, 3.0, 4.0], [4.0, 5.0, 6.0, 7.0], [0.1, 0.2, 0.3, 0.4]),
+             x0=-2.0)),
+    "lone V_ww, T entries": (
+        dict(a=0.9, V_ww=[1.0, 2.0, 3.0], V_vv=2.0, V_wv=0.1),
+        dict(a=[0.9] * 3, b=[1.0] * 3, c=[1.0] * 4, d=[0.0] * 4,
+             V=_blocks([1.0, 2.0, 3.0, 3.0], [2.0] * 4, [0.1] * 4), x0=0.0)),
+    "lone V_vv, T+1 entries": (
+        dict(a=0.9, d=1.0, V_ww=2.0, V_vv=[1.0, 2.0, 3.0, 4.0]),
+        dict(a=[0.9] * 3, b=[1.0] * 3, c=[1.0] * 4, d=[1.0] * 4,
+             V=_blocks([2.0] * 4, [1.0, 2.0, 3.0, 4.0], [0.0] * 4), x0=0.0)),
+    "lone V_wv, T entries": (
+        dict(a=0.9, V_vv=1.0, V_wv=[0.1, -0.2, 0.3]),
+        dict(a=[0.9] * 3, b=[1.0] * 3, c=[1.0] * 4, d=[0.0] * 4,
+             V=_blocks([1.0] * 4, [1.0] * 4, [0.1, -0.2, 0.3, 0.3]), x0=0.0)),
+}
+
+
+def _assert_builds(params, expected):
+    for name in ("a", "b", "c", "d", "V"):
+        got = getattr(params, name)
+        want = np.array(expected[name], dtype=float)
+        assert got.dtype == float and got.shape == want.shape, name
+        assert np.array_equal(got, want), name
+        assert not got.flags.writeable, name
+    assert type(params.x0) is float and params.x0 == expected["x0"]
+
+
+@pytest.mark.parametrize("form", _INPUT_FORMS)
+def test_make_input_forms_build_exact_arrays(form):
+    keywords, expected = _INPUT_FORMS[form]
+    _assert_builds(SystemParams.make(3, **keywords), expected)
+
+
+def test_noiseless_copies_build_exact_arrays_and_share_a_and_b(monkeypatch):
+    params = SystemParams.make(3, **_INPUT_FORMS["T+1 entries"][0])
+    noiseless = dict(a=params.a, b=params.b, c=[1.0] * 4, d=[0.0] * 4,
+                     V=_blocks(params.V[:, 0, 0], [0.0] * 4, [0.0] * 4), x0=-2.0)
+    # the tests' direct sensor: a replace of c, d and V
+    V = params.V.copy()
+    V[:, 0, 1] = V[:, 1, 0] = V[:, 1, 1] = 0.0
+    direct = dataclasses.replace(params, c=1.0, d=0.0, V=V)
+    _assert_builds(direct, noiseless)
+    # FullState's copy, as the scheme makes it for its gain schedule
+    copies = []
+    monkeypatch.setattr(scheme.kalman, "transmitter_gain_schedule", copies.append)
+    scheme._gains(SchemeKind.FULL_STATE, params)
+    _assert_builds(copies[0], noiseless)
+    for copy in (direct, copies[0]):
+        assert np.shares_memory(copy.a, params.a) and np.shares_memory(copy.b, params.b)
+
+
+@pytest.mark.parametrize("keywords, expected", [
+    (dict(P=1.0, N=0.5), dict(P=[1.0] * 3, N=[0.5] * 3)),
+    (dict(P=[1.0, 2.0, 0.5], N=0.5), dict(P=[1.0, 2.0, 0.5], N=[0.5] * 3)),
+    (dict(P=2, N=np.array([0.2, 0.4, 0.6])), dict(P=[2.0] * 3, N=[0.2, 0.4, 0.6])),
+])
+def test_channel_make_input_forms_build_exact_arrays(keywords, expected):
+    channel = ChannelParams.make(3, **keywords)
+    for name in ("P", "N"):
+        got, want = getattr(channel, name), np.array(expected[name])
+        assert got.dtype == float and np.array_equal(got, want) and not got.flags.writeable
+
+
+def _system(**fields):
+    return lambda: SystemParams(**{**dict(a=[1.0] * 3, b=1.0, c=1.0, d=0.0,
+                                          V=_blocks([1.0] * 4, [0.0] * 4, [0.0] * 4)), **fields})
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: SystemParams.make(0, a=1.0), "a must be a 1-D sequence of length T >= 1"),
+    (lambda: SystemParams.make(3, a=[1.0, 1.0]), "a has length 2, expected 3"),
+    (lambda: SystemParams.make(3, a=np.ones((1, 3))), "a must be a scalar or 1-D sequence"),
+    (lambda: SystemParams.make(3, a=1.0, b=[1.0, 1.0]), "b has length 2, expected 3"),
+    (lambda: SystemParams.make(3, a=1.0, b=[[1.0] * 3]), "b must be a scalar or 1-D sequence"),
+    (lambda: SystemParams.make(3, a=1.0, c=[1.0] * 5), "c has length 5, expected 3 or 4"),
+    (lambda: SystemParams.make(3, a=1.0, d=[0.0] * 2), "d has length 2, expected 3 or 4"),
+    (lambda: SystemParams.make(3, a=1.0, d=np.zeros((4, 1))),
+     "d must be a scalar or 1-D sequence"),
+    (lambda: SystemParams.make(3, a=1.0, V_ww=np.ones((1, 4))),
+     "V_ww must be a scalar or 1-D sequence"),
+    (lambda: SystemParams.make(3, a=1.0, V_vv=[1.0] * 5), "length"),
+    (lambda: SystemParams.make(3, a=1.0, V_ww=[1.0] * 3, V_vv=[1.0] * 4),
+     "V_\\* sequences must share one length"),
+    (lambda: SystemParams.make(3, a=1.0, V_ww=-1.0), "V\\[0\\] is not positive semidefinite"),
+    (lambda: SystemParams.make(3, a=1.0, c=[1.0, np.nan, 1.0]), "c must be finite"),
+    (_system(V=np.ones((5, 2, 2))), "V has shape \\(5, 2, 2\\)"),
+    (_system(V=_blocks([1.0] * 4, [1.0] * 4, [0.0] * 4) + [[0.0, 0.5], [0.0, 0.0]]),
+     "V\\[0\\] is not symmetric"),
+    (lambda: ChannelParams.make(3, P=[1.0, 2.0], N=1.0), "P has length 2, expected 3"),
+    (lambda: ChannelParams.make(3, P=1.0, N=[1.0] * 4), "N has length 4, expected 3"),
+    (lambda: ChannelParams.make(3, P=np.ones((3, 2)), N=1.0),
+     "P must be a scalar or 1-D sequence"),
+    (lambda: ChannelParams.make(3, P=1.0, N=0.0), "N\\(t\\) must be positive for all t"),
+    (lambda: ChannelParams.make(3, P=np.inf, N=1.0), "P\\(t\\) must be finite"),
+    (lambda: ChannelParams(P=np.ones((3, 2)), N=np.ones(3)), "P and N must have one shape"),
+])
+def test_input_refusals(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
 
 
 def test_system_params_validation():
@@ -241,3 +375,12 @@ def test_rng_seed_validation():
     with pytest.raises(ValueError):
         RngSeed(2**64)
     assert RngSeed(2**64 - 1).seed == 2**64 - 1
+    # a float, bool or string seed is refused, not truncated or parsed
+    for seed in (1.9, 1.0, True, np.bool_(True), "7", None):
+        with pytest.raises(ValueError, match="64-bit unsigned integer"):
+            RngSeed(seed)
+    for seed in (7, np.int64(7), np.uint64(7), np.uint8(7)):
+        assert type(RngSeed(seed).seed) is int and RngSeed(seed).seed == 7
+    assert RngSeed(np.uint64(2**64 - 1)).seed == 2**64 - 1
+    with pytest.raises(ValueError):
+        RngSeed(np.int64(-1))
