@@ -42,6 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .kalman import _channel_batch
 from .model import ROLE_BASELINE, _coerce_seed, _noise_factors
 from .scheme import SchemeKind
 
@@ -391,7 +392,7 @@ def alternating_optimize(params, channel, restarts=20, max_iters=4000,
         raise ValueError("max_iters must be >= 1")
     if not tol > 0:
         raise ValueError("tol must be > 0")
-    if channel.P.ndim != 1:
+    if _channel_batch(params, channel):
         raise ValueError("the search runs one channel, not a (T, K) batch")
     kind = SchemeKind(kind)
     seed = _coerce_seed(seed)

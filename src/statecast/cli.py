@@ -68,14 +68,15 @@ class ExperimentConfig:
         return ChannelParams.make(self.horizon, **self.channel)
 
 
-def _field_value(section, key, value, horizon):
+def _numbers(value, name, length=None):
+    """The one check of a config number: ``value`` as a float, or, given a
+    ``length``, also an array of ``length`` entries as a list of floats."""
     # json accepts NaN and Infinity; they are config errors, not numerical failures
-    name = f"{section}.{key}"
     if isinstance(value, (list, tuple)):
-        if key == "x0":
+        if length is None:
             raise ConfigError(name, "must be a number")
-        if len(value) != horizon:
-            raise ConfigError(name, f"array must have length exactly {horizon}")
+        if len(value) != length:
+            raise ConfigError(name, f"array must have length exactly {length}")
         # one check per distinct entry type, then one pass for finiteness
         types = set(map(type, value))
         if any(t is bool or not issubclass(t, (int, float)) for t in types):
@@ -85,7 +86,8 @@ def _field_value(section, key, value, horizon):
             raise ConfigError(name, "array entries must be finite")
         return vals
     if not isinstance(value, (int, float)) or isinstance(value, bool):
-        raise ConfigError(name, "must be a number or an array of numbers")
+        raise ConfigError(name, "must be a number" if length is None
+                          else "must be a number or an array of numbers")
     if not math.isfinite(value):
         raise ConfigError(name, "must be finite")
     return float(value)
@@ -99,31 +101,32 @@ def _integer(value, name, least, below=None):
     return value
 
 
-def _section(data, name, allowed, horizon, required_keys=()):
-    raw = data.get(name)
-    if raw is None:
-        raise ConfigError(name, "section is required")
+def _object(raw, name, allowed):
+    """``raw`` once it is an object of ``allowed`` fields; ``name`` is its
+    section, which prefixes each field's name ('' at the top level)."""
     if not isinstance(raw, dict):
-        raise ConfigError(name, "must be an object")
+        raise ConfigError(name or "config", "must be an object")
     for key in raw:
         if key not in allowed:
-            raise ConfigError(f"{name}.{key}", "unknown field")
+            raise ConfigError(f"{name}.{key}" if name else key, "unknown field")
+    return raw
+
+
+def _section(data, name, allowed, horizon, required_keys=()):
+    if data.get(name) is None:
+        raise ConfigError(name, "section is required")
+    raw = _object(data[name], name, allowed)
     for key in required_keys:
         if key not in raw:
             raise ConfigError(f"{name}.{key}", "field is required")
-    return {key: _field_value(name, key, raw[key], horizon) for key in raw}
+    return {key: _numbers(value, f"{name}.{key}", None if key == "x0" else horizon)
+            for key, value in raw.items()}
 
 
 def parse_config(data):
     """Validate a decoded JSON object and return an ExperimentConfig."""
-    if not isinstance(data, dict):
-        raise ConfigError("config", "top level must be a JSON object")
-    known = {"horizon", "system", "channel", "scheme", "samples", "seed",
-             "baseline", "sweep"}
-    for key in data:
-        if key not in known:
-            raise ConfigError(key, "unknown field")
-
+    _object(data, "", ("horizon", "system", "channel", "scheme", "samples", "seed",
+                       "baseline", "sweep"))
     horizon = _integer(data.get("horizon"), "horizon", 1)
 
     system = _section(data, "system", _SYSTEM_KEYS, horizon, required_keys=("a",))
@@ -141,39 +144,24 @@ def parse_config(data):
     seed = _integer(data.get("seed", 0), "seed", 0, _SEED_BOUND)
 
     baseline = dict(_BASELINE_DEFAULTS)
-    if "baseline" in data:
-        raw = data["baseline"]
-        if not isinstance(raw, dict):
-            raise ConfigError("baseline", "must be an object")
-        for key, value in raw.items():
-            if key not in _BASELINE_DEFAULTS:
-                raise ConfigError(f"baseline.{key}", "unknown field")
-            if key == "tol":
-                if not isinstance(value, (int, float)) or isinstance(value, bool) or not value > 0:
-                    raise ConfigError("baseline.tol", "must be a number > 0")
-                baseline[key] = float(value)
-            else:
-                baseline[key] = _integer(value, f"baseline.{key}", 1)
+    for key, value in _object(data.get("baseline", {}), "baseline", _BASELINE_DEFAULTS).items():
+        if key == "tol":
+            baseline[key] = _numbers(value, "baseline.tol")
+            if not baseline[key] > 0:
+                raise ConfigError("baseline.tol", "must be a number > 0")
+        else:
+            baseline[key] = _integer(value, f"baseline.{key}", 1)
 
     sweep = None
     if "sweep" in data:
-        raw = data["sweep"]
-        if not isinstance(raw, dict):
-            raise ConfigError("sweep", "must be an object")
-        for key in raw:
-            if key not in ("field", "values"):
-                raise ConfigError(f"sweep.{key}", "unknown field")
+        raw = _object(data["sweep"], "sweep", ("field", "values"))
         field = raw.get("field")
         if field not in _SWEEP_FIELDS:
             raise ConfigError("sweep.field", f"must be one of: {', '.join(_SWEEP_FIELDS)}")
         values = raw.get("values")
         if not isinstance(values, (list, tuple)) or not values:
             raise ConfigError("sweep.values", "must be a non-empty array of numbers")
-        try:
-            vals = _field_value("sweep", "values", values, len(values))
-        except ConfigError:
-            raise ConfigError("sweep.values", "entries must be finite numbers") from None
-        sweep = {"field": field, "values": vals}
+        sweep = {"field": field, "values": _numbers(values, "sweep.values", len(values))}
 
     return ExperimentConfig(horizon=horizon, system=system, channel=channel,
                             scheme=scheme, samples=samples, seed=seed,

@@ -21,7 +21,8 @@ The ``coupled_*`` names are kept as the stable public surface.
 Both error variances step by r' = (alpha r + beta) / (gamma r + delta) with
 nonnegative coefficients: each schedule is one scan of 2x2 matrix products
 (``model._lft_scan``), a channel batch (T, K) its trailing axis, and the gains
-follow elementwise.  The sample-path filters and the Monte Carlo pipeline in
+follow elementwise; the information floor is the receiver's scan with
+entropy-power steps.  The sample-path filters and the Monte Carlo pipeline in
 ``scheme`` share step functions.  Second moments are taken about the
 deterministic mean path; estimators are affine around it.
 """
@@ -197,6 +198,27 @@ def transmitter_filter(params, schedule, gamma):
     return np.stack(out, axis=-1)
 
 
+def _channel_batch(params, channel):
+    """The channel's batch shape, () for one, once its horizon is the plant's."""
+    if channel.horizon != params.horizon:
+        raise ValueError(f"channel has horizon {channel.horizon}, expected {params.horizon}")
+    return channel.P.shape[1:]
+
+
+def _receiver_error(params, gains, steps):
+    """Vxi(t) + r(t), t = 1 .. T, and r: r(t), the error in p(t), starts at
+    J(0)^2 vi(0) with no output yet and steps by the (2, 2, T-1, ...) maps
+    ``steps``.  At t = 1 the error is Var x(1) = b(0)^2 V_ww(0), set exactly:
+    x(0) is known."""
+    batch = steps.shape[3:]
+    r = np.empty((params.horizon,) + batch)
+    r[0] = gains.pred_gain[0] ** 2 * gains.innovation_var[0]
+    _lft_scan(steps, r)
+    mse = r + _column(gains.Vxi[1:], batch)
+    mse[0] = params.b[0] ** 2 * params.V[0, 0, 0]
+    return mse, r
+
+
 def coupled_decoder_schedule(params, channel, gains=None):
     """Exact decoder schedule for the filtered-transmission scheme.
 
@@ -206,12 +228,9 @@ def coupled_decoder_schedule(params, channel, gains=None):
     k^2 vi (J - a L)^2: one scan, over a (T, K) channel batch as a trailing
     axis.  K, the MSE and the filter's (m, g) follow elementwise.
     """
-    T = params.horizon
-    if channel.horizon != T:
-        raise ValueError(f"channel has horizon {channel.horizon}, expected {T}")
+    T, batch = params.horizon, _channel_batch(params, channel)
     if gains is None:
         gains = transmitter_gain_schedule(params)
-    batch = channel.P.shape[1:]
     K = power_scale(gains.sigma_breve_sq, channel)
     # y(t) = k p(t) + (k L i(t) + n(t)); p(t+1) = a p(t) + J i(t), t = 1 .. T-1
     a, L, J, vi = (_column(v[1:T], batch) for v in
@@ -225,21 +244,32 @@ def coupled_decoder_schedule(params, channel, gains=None):
     np.multiply(J * J * vi, N, out=beta)
     np.multiply(gamma, L * L * vi, out=delta)
     delta += N
-    mse = np.empty((T,) + batch)
-    mse[0] = gains.pred_gain[0] ** 2 * gains.innovation_var[0]  # no output yet
-    _lft_scan(steps, mse)
+    mse, r = _receiver_error(params, gains, steps)
 
     # s(t+1) = m s(t) + g y(t) from r(t); (m, g) take the spent (alpha, beta)
-    r = mse[:-1]
+    r = r[:-1]
     delta += gamma * r  # Var y(t)
     np.multiply(a, r, out=beta)
     beta += J * L * vi
     beta *= k
     beta /= delta
     np.subtract(a, beta * k, out=alpha)
-    mse += _column(gains.Vxi[1:], batch)
-    mse[0] = params.b[0] ** 2 * params.V[0, 0, 0]  # Var x(1): x(0) is known
     return CoupledDecoderSchedule(K=K, mse=mse, coef=np.moveaxis(steps[0], 0, 1))
+
+
+def _information_floor(params, channel, gains):
+    """``scheme.mse_floor``: xi(t) is independent of y^{t-1}, so any error is
+    at least Vxi(t) + R(t), R(t) the error in p(t).  p(t+1) = a p(t) + J i(t)
+    adds an innovation independent of (p(t), y^{t-1}), so entropy powers
+    add, and a channel use shrinks entropy power by at most 1 + P/N (Cover &
+    Thomas ch. 17; Tatikonda, Sahai & Mitter, IEEE TAC 49(9), 2004):
+    R(t+1) = (a^2 R + J^2 vi) / (1 + P(t)/N(t))."""
+    T, batch = params.horizon, _channel_batch(params, channel)
+    steps = np.zeros((2, 2, T - 1) + batch)
+    steps[0] = (_column(params.a[1:] ** 2, batch),
+                _column(gains.pred_gain[1:] ** 2 * gains.innovation_var[1:T], batch))
+    steps[1, 1] = 1.0 + channel.P[:-1] / channel.N[:-1]
+    return _receiver_error(params, gains, steps)[0]
 
 
 def _receiver_step(schedule, t, s, y):

@@ -15,10 +15,11 @@ pipeline — transmitter filter, power scaling, exact decoder — and differ onl
 in the parameters handed to it.  The decoder keeps one scalar state, its
 estimate of the transmitter's one-step predictor (``kalman``).  Monte Carlo
 makes one pass over t per block of paths, reducing each step at once: memory
-bounded in n and T.  Where a second CPU is free, one helper thread draws
-the noise rows a chunk of steps ahead of the paths; each stream is drawn in
-the same order as by a single thread, so the draws are unchanged.  FullState
-paths skip the v draw and the filter.
+bounded in n and T.  One helper thread draws the noise rows a chunk of
+steps ahead of the paths, on any number of CPUs (on one it overlaps nothing,
+and README gives its cost); each stream is drawn in the same order as by a
+single thread, so the draws are unchanged.  FullState paths skip the v draw
+and the filter.
 
 Known means are handled deterministically: encoders scale deviations from the
 mean path and decoders add the mean back, so the power budget is spent
@@ -29,7 +30,6 @@ with scaling the raw state.
 from __future__ import annotations
 
 import enum
-import os
 from contextlib import closing
 from dataclasses import dataclass
 
@@ -37,7 +37,7 @@ import numpy as np
 
 from . import kalman
 from .model import (_BLOCK_ROWS, ROLE_CHANNEL, ROLE_MEASUREMENT, ROLE_PROCESS, SystemParams,
-                    _coerce_seed, _lft_scan, _noise_factors, _plant_step, mean_trajectory)
+                    _coerce_seed, _noise_factors, _plant_step, mean_trajectory)
 
 
 # Monte Carlo draws the noise rows of this many steps per chunk, one chunk
@@ -116,26 +116,11 @@ def analytic_mse(kind, params, channel):
 def mse_floor(kind, params, channel):
     """Per-step floor on E (x(t) - xhat(t))^2, t = 1 .. T, for any causal
     encoder and decoder of the scheme's observations, linear or not; a (T, K)
-    channel batch yields one column per channel.
-
-    xi(t) = x(t) - p(t), p(t) the transmitter's one-step predictor, is
-    independent of y^{t-1}: the error is at least Vxi(t) + R(t), R(t) the error
-    in p(t).  p(t+1) = a p(t) + J i(t) adds an innovation independent of (p(t),
-    y^{t-1}), so entropy powers add, and a channel use shrinks entropy power by
-    at most 1 + P/N (Cover & Thomas ch. 17; Tatikonda, Sahai & Mitter, IEEE TAC
-    49(9), 2004): R(1) = J(0)^2 vi(0), R(t+1) = (a^2 R + J^2 vi) / (1 + P(t)/N(t)).
-    """
-    gains = _gains(kind, params)
-    T, batch = params.horizon, channel.P.shape[1:]
-    steps = np.zeros((2, 2, T - 1) + batch)
-    steps[0] = (kalman._column(params.a[1:] ** 2, batch),
-                kalman._column(gains.pred_gain[1:] ** 2 * gains.innovation_var[1:T], batch))
-    steps[1, 1] = 1.0 + channel.P[:-1] / channel.N[:-1]
-    floor = np.empty((T,) + batch)
-    floor[0] = gains.pred_gain[0] ** 2 * gains.innovation_var[0]
-    _lft_scan(steps, floor)
-    floor += kalman._column(gains.Vxi[1:], batch)
-    return floor
+    channel batch yields one column per channel.  It runs the exact
+    receiver's recursion with entropy-power steps (``kalman``), so it refuses
+    a channel of another horizon and at t = 1 reads Var x(1), as every
+    scheme does."""
+    return kalman._information_floor(params, channel, _gains(kind, params))
 
 
 def _pipeline(kind, params, channel, samples, seed):
@@ -144,10 +129,10 @@ def _pipeline(kind, params, channel, samples, seed):
 
     Each role stream draws one row per step and continues across blocks;
     plant, transmitter predictor and receiver state advance in place.  One
-    helper thread (given a second CPU, ``_drawn_ahead``) draws the rows of
-    the next ``_CHUNK_STEPS`` steps while the caller advances the paths
-    through the current ones; each stream is still drawn by one thread in
-    the same order, so the draws are unchanged.
+    helper thread (``_drawn_ahead``) draws the rows of the next
+    ``_CHUNK_STEPS`` steps while the caller advances the paths through the
+    current ones; each stream is still drawn by one thread in the same
+    order, so the draws are unchanged.
     A step yields the block's slice of the paths, t and the rows x, gamma,
     xbreve, z, y, xhat at t, valid until the next step (None where undefined).
     """
@@ -209,27 +194,14 @@ def _pipeline(kind, params, channel, samples, seed):
     return schedule, steps()
 
 
-def _usable_cpus():
-    """The number of CPUs this process may run on."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
 def _drawn_ahead(draw, chunks):
     """Yield ``draw(slot, chunk)`` for each chunk in order.
 
-    Where a second CPU is free, one helper thread runs each draw one chunk
-    ahead.  Chunk j goes to slot j % 2 when the caller asks for chunk j - 1,
-    so it is done with chunk j - 2, the slot's last contents; a draw's
-    exception is raised to the caller, and closing this generator joins the
-    helper.  On one CPU the draws run inline in slot 0: a helper could not
-    overlap them, only add thread switches.
+    One helper thread runs each draw one chunk ahead.  Chunk j goes to slot
+    j % 2 when the caller asks for chunk j - 1, so it is done with chunk
+    j - 2, the slot's last contents; a draw's exception is raised to the
+    caller, and closing this generator joins the helper.
     """
-    if _usable_cpus() < 2:
-        for chunk in chunks:
-            yield draw(0, chunk)
-        return
     from concurrent.futures import ThreadPoolExecutor
 
     with ThreadPoolExecutor(max_workers=1, thread_name_prefix="statecast-draw") as helper:
@@ -245,8 +217,7 @@ def _drawn_ahead(draw, chunks):
 def sample_paths(kind, params, channel, samples, seed):
     """Run the full pipeline (simulate, encode, channel, decode) per sample:
     every path of the time-major pipeline that ``monte_carlo_mse`` reduces,
-    its noise drawn a chunk ahead by one helper thread given a second CPU,
-    the draws unchanged."""
+    its noise drawn a chunk ahead by one helper thread, the draws unchanged."""
     full = SchemeKind(kind) is SchemeKind.FULL_STATE
     steps = _pipeline(kind, params, channel, samples, seed)[1]
     T = channel.horizon
@@ -268,9 +239,9 @@ def monte_carlo_mse(kind, params, channel, samples, seed):
     the squared error, merged by the pairwise update of Chan, Golub & LeVeque
     (1979), and the sum of z(t)^2.  The analytic columns are the pipeline's
     receiver schedule.  Memory is bounded in n and T apart from O(T) columns.
-    Given a second CPU, one helper thread draws the noise a chunk of steps
-    ahead while this thread advances and reduces the paths; the draws are
-    unchanged, and a draw error is raised here.
+    One helper thread draws the noise a chunk of steps ahead while this
+    thread advances and reduces the paths; the draws are unchanged, and a
+    draw error is raised here.
     """
     schedule, steps = _pipeline(kind, params, channel, samples, seed)
     sums = np.zeros((3, channel.horizon + 1))  # per t: sum and M2 of e, sum of z^2

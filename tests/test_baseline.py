@@ -367,6 +367,11 @@ def test_alternating_optimize_validates_arguments():
         alternating_optimize(params, channel, tol=0.0)
     with pytest.raises(ValueError):
         alternating_optimize(params, channel, max_iters=0)
+    # the channel spans the plant's horizon
+    params = SystemParams.make(5, a=1.0)
+    for horizon in (1, 3):
+        with pytest.raises(ValueError, match=f"channel has horizon {horizon}, expected 5"):
+            alternating_optimize(params, ChannelParams.make(horizon, P=1.0, N=1.0))
 
 
 @pytest.mark.parametrize("max_iters", [7, 4000])

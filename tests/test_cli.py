@@ -367,6 +367,12 @@ def test_negative_overrides_rejected(tmp_path, capsys):
                  id="inf-system.a"),
     pytest.param(lambda d: d["system"].update(a=[0.9, -math.inf]), "system.a",
                  id="inf-entry-system.a"),
+    pytest.param(lambda d: d.update(baseline={"tol": math.inf}), "baseline.tol",
+                 id="inf-baseline.tol"),
+    pytest.param(lambda d: d.update(sweep={"field": "P", "values": [1.0, math.inf]}),
+                 "sweep.values", id="inf-entry-sweep.values"),
+    pytest.param(lambda d: d.update(sweep={"field": "P", "values": [1.0, True]}),
+                 "sweep.values", id="bool-entry-sweep.values"),
     # array entries must be numbers: no bools, strings or nested arrays
     pytest.param(lambda d: d["system"].update(a=[0.9, True]), "system.a",
                  id="bool-entry-system.a"),
