@@ -176,33 +176,24 @@ class _Formulation:
         F[:, 1:] = D[:-1].T
         return F
 
-    def row_power(self, G):
-        return np.sum((G @ self.Hin) ** 2, axis=1)
 
-
-def _full_state_formulation(params, channel):
+def _formulation(params, channel, band):
+    """The operator chain of the scheme whose encoder has causal ``band``:
+    FullState (0) encodes x(1..T), NoisyState (1) gamma(0..T-1)."""
     T = params.horizon
-    H = build_H(params).entries
-    Hx = H * np.sqrt(params.V[:T, 0, 0])[None, :]
-    mask = np.tril(np.ones((T, T)))
-    return _Formulation(Hx=Hx, Hin=Hx, mask=mask, N=channel.N, P=channel.P)
-
-
-def _noisy_state_formulation(params, channel):
-    # Whitened noise columns: u_w(0..T-1) then u_v(0..T-1), with
-    # w(s) = l11 u_w(s) and v(s) = l21 u_w(s) + l22 u_v(s).
-    T = params.horizon
-    H = build_H(params).entries
     l11, l21, l22 = _noise_factors(params)
-    Hx = np.hstack([H * l11[:T][None, :], np.zeros((T, T))])
-    Hgam = np.zeros((T, 2 * T))
-    for s in range(T):
-        if s >= 1:
-            Hgam[s] = params.c[s] * Hx[s - 1]
-        Hgam[s, s] += params.d[s] * l21[s]
-        Hgam[s, T + s] += params.d[s] * l22[s]
-    mask = np.tril(np.ones((T, T)), k=1)
-    return _Formulation(Hx=Hx, Hin=Hgam, mask=mask, N=channel.N, P=channel.P)
+    Hx = Hin = build_H(params).entries * l11[:T]
+    if band:
+        # Whitened noise columns: u_w(0..T-1) then u_v(0..T-1), with
+        # w(s) = l11 u_w(s) and v(s) = l21 u_w(s) + l22 u_v(s).
+        Hx = np.hstack([Hx, np.zeros((T, T))])
+        Hin = np.zeros((T, 2 * T))
+        Hin[1:] = params.c[1:T, None] * Hx[:-1]
+        s = np.arange(T)
+        Hin[s, s] += params.d[:T] * l21[:T]
+        Hin[s, T + s] += params.d[:T] * l22[:T]
+    mask = np.tril(np.ones((T, T)), k=band)
+    return _Formulation(Hx=Hx, Hin=Hin, mask=mask, N=channel.N, P=channel.P)
 
 
 class _Spheres:
@@ -394,10 +385,9 @@ def alternating_optimize(params, channel, restarts=20, max_iters=4000,
         raise ValueError("tol must be > 0")
     if _channel_batch(params, channel):
         raise ValueError("the search runs one channel, not a (T, K) batch")
-    kind = SchemeKind(kind)
     seed = _coerce_seed(seed)
-    band = int(kind is not SchemeKind.FULL_STATE)
-    form = (_noisy_state_formulation if band else _full_state_formulation)(params, channel)
+    band = int(SchemeKind(kind) is not SchemeKind.FULL_STATE)
+    form = _formulation(params, channel, band)
 
     spheres = _Spheres(form)
     best = None
@@ -416,7 +406,7 @@ def alternating_optimize(params, channel, restarts=20, max_iters=4000,
         G_opt=CausalOperator(G, band=band),
         F_opt=CausalOperator(F),
         objective=float(form.objective(G, F)),
-        per_row_power=form.row_power(G),
+        per_row_power=np.sum((G @ form.Hin) ** 2, axis=1),
         restarts_run=int(restarts),
         converged=bool(residual <= tol),
     )

@@ -62,10 +62,18 @@ class ExperimentConfig:
     sweep: dict | None = None
 
     def system_params(self, **swept):
-        return SystemParams.make(self.horizon, **{**self.system, **swept})
+        return _refused("system", SystemParams.make, self.horizon, **{**self.system, **swept})
 
     def channel_params(self):
-        return ChannelParams.make(self.horizon, **self.channel)
+        return _refused("channel", ChannelParams.make, self.horizon, **self.channel)
+
+
+def _refused(section, build, *args, **kwargs):
+    """``build(*args, **kwargs)``; a ValueError it raises is a config error of ``section``."""
+    try:
+        return build(*args, **kwargs)
+    except ValueError as exc:
+        raise ConfigError(section, str(exc)) from None
 
 
 def _numbers(value, name, length=None):
@@ -181,8 +189,6 @@ def load_config(path):
 
 def _fmt(value):
     """Footer text of one value; NumericalError for a non-finite number."""
-    if value is None:
-        return ""
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, (int, np.integer)):
@@ -247,10 +253,6 @@ def _columns(result):
             result.mse_empirical, result.stderr, result.power_used)
 
 
-def _render_result(result, footer):
-    return _render(_columns(result), footer)
-
-
 def _warn_variance(params):
     """``params``, after a warning if the state variance passes VARIANCE_WARN."""
     sigma_sq = state_variance(params)
@@ -287,11 +289,12 @@ def _run(config, sample, certify):
                                     seed=config.seed, kind=config.scheme)
         footer += [("avg_mse_floor", float(np.mean(mse_floor(config.scheme, params, channel)))),
                    ("baseline_objective", best.objective),
-                   ("baseline_gap_rel", (best.objective - avg) / avg),
+                   # avg is 0 only where Var x(t) = 0 throughout: Hx = 0, objective 0
+                   ("baseline_gap_rel", (best.objective - avg) / avg if avg else 0.0),
                    ("baseline_restarts", best.restarts_run),
                    ("baseline_converged", best.converged)]
     del params, channel  # freed before rendering, which sets the peak on long horizons
-    return _render_result(result, footer)
+    return _render(_columns(result), footer)
 
 
 def _sweep(config):
@@ -304,16 +307,23 @@ def _sweep(config):
         if any(abs(v) > 1 for v in values):
             print("warning: |a| > 1: state variance grows geometrically with t",
                   file=sys.stderr)
+        channel = config.channel_params()
         results = (analytic_mse(config.scheme, _warn_variance(config.system_params(a=v)),
-                                config.channel_params()) for v in values)
+                                channel) for v in values)
         records = ((next(_bodies(_columns(result))), result.avg_mse_analytic) for result in results)
     else:
         params = _warn_variance(config.system_params())
         other = "N" if field == "P" else "P"
         shape = (config.horizon, len(values))
         fixed = np.reshape(config.channel[other], (-1, 1))
-        batch = analytic_mse(config.scheme, params, ChannelParams(
-            **{field: np.broadcast_to(values, shape), other: np.broadcast_to(fixed, shape)}))
+        try:
+            channels = ChannelParams(**{field: np.broadcast_to(values, shape),
+                                        other: np.broadcast_to(fixed, shape)})
+        except ValueError as exc:  # the library's message opens with the field it refuses
+            raise ConfigError("sweep.values" if str(exc).startswith(field) else "channel",
+                              str(exc)) from None
+        batch = analytic_mse(config.scheme, params, channels)
+        del channels  # its (T, K) P and N are freed before rendering
         records = zip(_bodies(_columns(batch)), batch.avg_mse_analytic.tolist())
     pieces, summary = [], [f"# sweep summary\n{field},avg_mse_analytic\n"]
     for value, (body, average) in zip(values, records):
@@ -341,14 +351,6 @@ def _apply_overrides(config, args):
     if args.restarts is not None:
         baseline["restarts"] = _integer(args.restarts, "baseline.restarts", 1)
     return replace(config, samples=samples, seed=seed, baseline=baseline)
-
-
-def _write(path, text):
-    try:
-        with open(path, "wb") as fh:
-            fh.write(text.encode("ascii"))
-    except OSError as exc:
-        raise ConfigError("--out", f"cannot write {path}: {exc}") from None
 
 
 def main(argv=None):
@@ -384,7 +386,11 @@ def main(argv=None):
         if args.out is None:
             sys.stdout.write(text)
         else:
-            _write(args.out, text)
+            try:
+                with open(args.out, "wb") as fh:
+                    fh.write(text.encode("ascii"))
+            except OSError as exc:
+                raise ConfigError("--out", f"cannot write {args.out}: {exc}") from None
     except ValueError as exc:  # ConfigError is a ValueError
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

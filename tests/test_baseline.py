@@ -22,8 +22,7 @@ from statecast.baseline import (
     _BLOCK_RESTARTS,
     _descend,
     _Formulation,
-    _full_state_formulation,
-    _noisy_state_formulation,
+    _formulation,
     _shift_cols,
     _Spheres,
 )
@@ -97,6 +96,8 @@ def test_causal_operator_validation():
     assert op.horizon == 2
     with pytest.raises(ValueError):
         CausalOperator(np.full((2, 2), np.nan))
+    with pytest.raises(ValueError, match="square"):
+        CausalOperator(np.zeros((2, 3)))
 
 
 def test_mse_objective_silent_system():
@@ -117,7 +118,7 @@ def test_mse_objective_at_closed_form_point_equals_analytic():
     channel = ChannelParams.make(4, P=1.0, N=0.5)
     G, F, _ = _closed_form_point(params, channel)
     want = analytic_mse(FULL, params, channel).avg_mse_analytic
-    form = _full_state_formulation(params, channel)
+    form = _formulation(params, channel, 0)
     assert abs(form.objective(G, F) - want) < 1e-10
 
 
@@ -143,7 +144,7 @@ def test_optimal_F_reproduces_decoder_filter():
     params = SystemParams.make(5, a=0.9)
     channel = ChannelParams.make(5, P=1.0, N=0.5)
     G, F_filter, _ = _closed_form_point(params, channel)
-    F = _full_state_formulation(params, channel).optimal_F(G)
+    F = _formulation(params, channel, 0).optimal_F(G)
     assert_allclose(F, F_filter, atol=1e-8)
 
 
@@ -381,8 +382,7 @@ def test_lockstep_restarts_do_not_interact(kind, max_iters):
     # bit, whether its neighbours stop before or after it.
     params = SystemParams.make(6, a=0.9, c=1.0, d=0.5, V_vv=1.0, V_wv=0.3)
     channel = ChannelParams.make(6, P=[1.0, 2.0, 0.5, 1.0, 1.0, 1.5], N=0.5)
-    formulation = _full_state_formulation if kind is FULL else _noisy_state_formulation
-    spheres = _Spheres(formulation(params, channel))
+    spheres = _Spheres(_formulation(params, channel, int(kind is NOISY)))
     mask = spheres.form.mask
     x = spheres.from_G(np.random.default_rng(3).standard_normal((4,) + mask.shape) * mask)
     stacked = _descend(spheres, x.copy(), max_iters, 1e-11)
@@ -400,8 +400,8 @@ def test_stacked_decoder_and_loss_equal_per_slice_calls():
     # equal channel inputs under N = 1e-17 make a Gram matrix singular in
     # floating point: that slice alone takes the pseudo-inverse path, and
     # the other slices keep their Cholesky result.
-    form = _full_state_formulation(SystemParams.make(5, a=0.9),
-                                   ChannelParams.make(5, P=1.0, N=1e-17))
+    form = _formulation(SystemParams.make(5, a=0.9),
+                        ChannelParams.make(5, P=1.0, N=1e-17), 0)
     full_rank = np.random.default_rng(4).standard_normal((3, 5, 5))
     singular = np.zeros((5, 5))
     singular[1:3, 0] = 1.0

@@ -354,6 +354,7 @@ def test_negative_overrides_rejected(tmp_path, capsys):
     (lambda d: d["system"].update(q=1.0), "system.q"),
     (lambda d: d.update(bogus=1), "bogus"),
     (lambda d: d["system"].update(a=[0.9, 0.9, 0.9]), "system.a"),
+    pytest.param(lambda d: d["system"].update(a="x"), "system.a", id="str-system.a"),
     (lambda d: d.update(baseline={"tol": 0.0}), "baseline.tol"),
     (lambda d: d.update(sweep={"field": "b", "values": [1]}), "sweep.field"),
     # json reads NaN and Infinity; they must not reach the numerics
@@ -373,6 +374,10 @@ def test_negative_overrides_rejected(tmp_path, capsys):
                  "sweep.values", id="inf-entry-sweep.values"),
     pytest.param(lambda d: d.update(sweep={"field": "P", "values": [1.0, True]}),
                  "sweep.values", id="bool-entry-sweep.values"),
+    pytest.param(lambda d: d.update(sweep={"field": "P", "values": []}),
+                 "sweep.values", id="empty-sweep.values"),
+    pytest.param(lambda d: d.update(sweep={"field": "P", "values": 1.0}),
+                 "sweep.values", id="scalar-sweep.values"),
     # array entries must be numbers: no bools, strings or nested arrays
     pytest.param(lambda d: d["system"].update(a=[0.9, True]), "system.a",
                  id="bool-entry-system.a"),
@@ -401,6 +406,52 @@ def test_config_errors_name_the_field(tmp_path, capsys, mangle, field):
         assert code == 2
         assert out == ""
         assert err.startswith(f"config error: {field}: ")
+
+
+_ALL = ("analytic", "simulate", "baseline", "compare", "sweep")
+
+
+@pytest.mark.parametrize("mangle, commands, section, message", [
+    pytest.param(lambda d: d["channel"].update(N=0.0), _ALL, "channel",
+                 "N(t) must be positive", id="channel.N"),
+    pytest.param(lambda d: d["system"].update(V_wv=2.0, V_vv=1.0), _ALL, "system",
+                 "V[0] is not positive semidefinite", id="system.V"),
+    # a P sweep never reads channel.P: its values and channel.N are refused apart
+    pytest.param(lambda d: d["sweep"].update(field="P", values=[1.0, 0.0]), ("sweep",),
+                 "sweep.values", "P(t) must be positive", id="sweep-P"),
+    pytest.param(lambda d: d["sweep"].update(field="N", values=[-1.0]), ("sweep",),
+                 "sweep.values", "N(t) must be positive", id="sweep-N"),
+    pytest.param(lambda d: (d["sweep"].update(field="P"), d["channel"].update(N=-2.0)),
+                 ("sweep",), "channel", "N(t) must be positive", id="sweep-P-channel.N"),
+])
+def test_library_refusals_name_their_section(tmp_path, capsys, mangle, commands, section,
+                                             message):
+    # SystemParams and ChannelParams refuse these; the CLI prefixes the section
+    data = dict(json.loads(json.dumps(BASE)), samples=10,
+                sweep={"field": "a", "values": [0.5, 0.9]})
+    mangle(data)
+    cfg = _write(tmp_path, data)
+    for command in commands:
+        code, out, err = _run(capsys, [command, "--config", cfg])
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"config error: {section}: {message}")
+
+
+@pytest.mark.parametrize("scheme", ["FullState", "NoisyState"])
+@pytest.mark.parametrize("system", [{"a": 0.9, "b": 0.0}, {"a": 0.9, "V_ww": 0.0}],
+                         ids=["b0", "V_ww0"])
+def test_zero_variance_plant_has_zero_gap(tmp_path, capsys, scheme, system):
+    # Var x(t) = 0 at every step: the closed form and the certifier both read 0
+    data = dict(BASE, horizon=4, scheme=scheme, samples=20,
+                system=dict(system, c=1.0, d=0.5, V_vv=1.0))
+    cfg = _write(tmp_path, data)
+    for command in ("baseline", "compare"):
+        code, out, err = _run(capsys, [command, "--config", cfg])
+        assert code == 0 and err == ""
+        footer = _footer(out)
+        assert footer["avg_mse_analytic"] == footer["baseline_objective"] == "0"
+        assert footer["baseline_gap_rel"] == "0"
 
 
 def test_unwritable_out_is_a_config_error(tmp_path, capsys):

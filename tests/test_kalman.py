@@ -122,6 +122,8 @@ def test_transmitter_filter_batch_shape():
     assert one.shape == (4,)
     assert many.shape == (5, 4)
     assert_allclose(many, np.broadcast_to(one, (5, 4)), atol=0)
+    with pytest.raises(ValueError, match="gamma must have 4 entries, got 3"):
+        transmitter_filter(params, g, np.ones(3))
 
 
 def test_decoder_schedule_worked_example():
