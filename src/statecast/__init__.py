@@ -9,7 +9,6 @@ from .baseline import (
     alternating_optimize,
     build_H,
 )
-from .cli import ExperimentConfig, main, parse_config
 from .kalman import (
     CoupledDecoderSchedule,
     GainSchedule,
@@ -68,3 +67,10 @@ __all__ = [
     "transmitter_filter",
     "transmitter_gain_schedule",
 ]
+
+
+def __getattr__(name):  # the CLI loads on first use, so ``python -m statecast.cli`` runs it afresh
+    if name not in ("ExperimentConfig", "main", "parse_config"):
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import cli
+    return getattr(cli, name)

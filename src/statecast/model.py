@@ -259,6 +259,7 @@ def state_variance(params):
             s = out[t] = at ** 2 * s + bt ** 2 * ww
     except OverflowError:  # float ** raises where the variance leaves double range
         sig[t:] = np.inf
+    np.copyto(sig, np.inf, where=np.isnan(sig))  # a(t) = 0 after an overflow: 0 * inf
     return sig
 
 

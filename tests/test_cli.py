@@ -1,15 +1,21 @@
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from statecast import ExperimentConfig, main, parse_config
-from statecast.cli import ConfigError, NumericalError, _bodies, render_record
+from statecast import ExperimentConfig, main, parse_config, state_variance
+from statecast.cli import VARIANCE_WARN, ConfigError, NumericalError, _bodies, render_record
 
 from oracles import reference_record, reference_rows
+
+ROOT = Path(__file__).resolve().parents[1]
 
 BASE = {
     "horizon": 2,
@@ -511,6 +517,74 @@ def test_huge_variance_warns_but_completes(tmp_path, capsys):
     assert code == 0
     assert "state variance exceeds" in err
     assert len(out.splitlines()) == 52
+
+
+def test_variance_past_double_range_then_zero_a_still_warns(tmp_path, capsys):
+    # Var x(2) = 1e300 and Var x(3) overflows; a(3) = 0 then multiplies 0 by
+    # inf, and the warning must still fire before the numerical failure
+    cfg = _write(tmp_path, {"horizon": 6, "system": {"a": [1e150, 1e150, 1e150, 0.0, 0.5, 0.5]},
+                            "channel": {"P": 1.0, "N": 1.0}})
+    code, out, err = _run(capsys, ["analytic", "--config", cfg])
+    assert (code, out) == (3, "")
+    assert err.splitlines() == [
+        "warning: state variance exceeds 1e+12 at t=2; double precision may lose accuracy",
+        "numerical failure: non-finite value in output"]
+
+
+_LIFT = [0.5] * 10 + [-1.5] + [0.5] * 9  # one step with |a| > 1
+VARIANCE_CASES = {  # label: horizon, system, sweep (None: analytic)
+    # q / (1 - a^2) <= 1e12 here, so a bound without its margin would skip the
+    # loop, yet the loop's Var x(28) exceeds 1e12
+    "boundary": (200, {"a": 0.5087885968404269, "V_ww": 741134163725.1497}, None),
+    "stationary-bound-skips": (100, {"a": 0.5, "V_ww": 0.75e12 * (1 - 1e-8)}, None),
+    "stationary-below": (100, {"a": 0.5, "V_ww": 0.75e12 * (1 - 1e-12)}, None),
+    "stationary-above": (100, {"a": 0.5, "V_ww": 0.75e12 * (1 + 1e-12)}, None),
+    "a-zero-at-limit": (5, {"a": 0.0, "V_ww": 1e12}, None),
+    "a-zero-above-limit": (5, {"a": 0.0, "V_ww": float(np.nextafter(1e12, 2e12))}, None),
+    "a-one": (20, {"a": 1.0, "V_ww": 1e11}, None),
+    "a-minus-one": (50, {"a": -1.0}, None),
+    "one-step-above-one-warns": (20, {"a": _LIFT, "V_ww": 5e11}, None),
+    "one-step-above-one-quiet": (20, {"a": _LIFT, "V_ww": 1e11}, None),
+    "b-zero": (20, {"a": 2.0, "b": 0.0, "V_ww": 1e12}, None),
+    "V_ww-zero": (20, {"a": 2.0, "V_ww": 0.0}, None),
+    "varying-b-V_ww-quiet": (30, {"a": 0.8, "b": [1.0] * 15 + [4.0] * 15,
+                                  "V_ww": [1e11] * 15 + [1e9] * 15}, None),
+    "varying-b-V_ww-warns": (30, {"a": 0.8, "b": [1.0] * 15 + [4.0] * 15,
+                                  "V_ww": [1e9] * 15 + [1e11] * 15}, None),
+    "a-sweep-across-one": (50, {"a": 0.9, "V_ww": 1e10},
+                           {"field": "a", "values": [0.9, 0.995, 1.0, 1.2]}),
+    "P-sweep": (40, {"a": 1.5}, {"field": "P", "values": [0.5, 2.0]}),
+}
+
+
+@pytest.mark.parametrize("label", sorted(VARIANCE_CASES))
+def test_variance_warning_is_the_exact_rule(tmp_path, capsys, label):
+    # the CLI warns iff state_variance passes VARIANCE_WARN, at its first such t
+    horizon, system, sweep = VARIANCE_CASES[label]
+    data = {"horizon": horizon, "system": system, "channel": {"P": 1.0, "N": 1.0}}
+    swept = [{"a": v} for v in sweep["values"]] if sweep and sweep["field"] == "a" else [{}]
+    expected = ("warning: |a| > 1: state variance grows geometrically with t\n"
+                if any(abs(s.get("a", 0.0)) > 1 for s in swept) else "")
+    config = parse_config(data)
+    for values in swept:
+        over = state_variance(config.system_params(**values)) > VARIANCE_WARN
+        if over.any():
+            expected += (f"warning: state variance exceeds 1e+12 at t={int(np.argmax(over))}; "
+                         "double precision may lose accuracy\n")
+    cfg = _write(tmp_path, dict(data, sweep=sweep) if sweep else data)
+    code, _, err = _run(capsys, ["sweep" if sweep else "analytic", "--config", cfg])
+    assert (code, err) == (0, expected)
+
+
+def test_module_run_writes_only_the_csv(tmp_path, capsys):
+    # run without installing; stderr stays empty (importing the package must
+    # not import the CLI before runpy runs it)
+    cfg = _write(tmp_path, BASE)
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run([sys.executable, "-m", "statecast.cli", "analytic", "--config", cfg],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout == _run(capsys, ["analytic", "--config", cfg])[1]
 
 
 def test_sweep_power_and_noise_are_monotone(tmp_path, capsys):

@@ -56,6 +56,12 @@ def test_state_variance_overflow_reads_inf():
     assert 50 < first < 200
     assert np.all(np.isfinite(sig[:first])) and np.all(sig[first:] == np.inf)
     assert np.max(sig) > 1e12
+    # a(t) = 0 right after the overflow multiplies 0 by inf; that entry reads +inf too
+    params = SystemParams.make(6, a=[1e150, 1e150, 1e150, 0.0, 0.5, 0.5])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        sig = state_variance(params)
+    assert np.all(np.isfinite(sig[:3])) and np.all(sig[3:] == np.inf)
 
 
 def test_state_variance_matches_monte_carlo():
