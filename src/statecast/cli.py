@@ -14,6 +14,7 @@ Exit codes: 0 success, 2 config error, 3 numerical failure (non-finite value).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -358,7 +359,8 @@ def _apply_overrides(config, args):
     return replace(config, samples=samples, seed=seed, baseline=baseline)
 
 
-def main(argv=None):
+@functools.cache
+def _parser():
     parser = argparse.ArgumentParser(
         prog="statecast",
         description="Optimal linear transmission of a scalar plant state "
@@ -374,15 +376,15 @@ def main(argv=None):
     for name, text in helps.items():
         p = sub.add_parser(name, help=text)
         p.add_argument("--config", required=True, help="JSON config path")
-        p.add_argument("--out", default=None,
-                       help="output CSV path (default: stdout)")
-        p.add_argument("--samples", type=int, default=None,
-                       help="override config samples")
-        p.add_argument("--seed", type=int, default=None,
-                       help="override config seed")
-        p.add_argument("--restarts", type=int, default=None,
-                       help="override baseline restarts")
-    args = parser.parse_args(argv)
+        p.add_argument("--out", default=None, help="output CSV path (default: stdout)")
+        for flag, what in (("samples", "config samples"), ("seed", "config seed"),
+                           ("restarts", "baseline restarts")):
+            p.add_argument(f"--{flag}", type=int, default=None, help=f"override {what}")
+    return parser
+
+
+def main(argv=None):
+    args = _parser().parse_args(argv)
 
     try:
         config = _apply_overrides(load_config(args.config), args)

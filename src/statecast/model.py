@@ -210,38 +210,46 @@ def _lft_scan(coef, out):
     ``coef[:, :, i]``, entries >= 0, denominators > 0.  r(0) is out[0], r(1) ..
     r(n) go to out[1:], and trailing (batch) axes ride along.  Steps compose as
     products of their matrices, with no cancellation (Kailath, Sayed & Hassibi,
-    *Linear Estimation*, 2000).  A two-level scan over about sqrt(n) blocks side
-    by side: multiply out each block (rescaled before each step by an exact power
-    of two, so no product leaves double range), carry r(0) across them, then
-    step each from its start.  The blocks depend on n alone, so a batch column
-    runs the arithmetic of its channel alone.  The scan runs on r / u, u the
-    power of two nearest max(beta) / max(delta), which balances [[alpha,
-    beta / u], [gamma u, delta]] when r is far from 1; a power of two changes
-    no rounding.  Past double range an iterate reads +inf: the finite inputs
-    leave NaN only where 0 * inf or inf / inf follows an overflow.
+    *Linear Estimation*, 2000).  Past 64 steps, blocks of 8 are multiplied out
+    side by side in out[1:], rescaled by exact powers of two so no product leaves
+    double range; a scan of these nonnegative block maps gives the block starts
+    (Blelloch, 1990), and every block then steps from its start.  Block sizes
+    depend on n alone, so a batch column runs its channel's arithmetic alone.
+    The maps run on r / u, u the power of two nearest max(beta) / max(delta),
+    which balances [[alpha, beta / u], [gamma u, delta]]; a power of two changes
+    no rounding.  Past double range an iterate reads +inf, never NaN.
     """
     n = len(out) - 1
-    size = n // math.isqrt(n) if n else 1   # steps per block
-    last = max(n - 1, 0) // size * size     # first step of the last block
-    beta, delta = coef[0, 1].max(initial=0.0), coef[1, 1].max(initial=0.0)
-    digits = np.frexp(beta)[1] - np.frexp(delta)[1] if beta > 0 else 0
-    unit = np.exp2(np.clip(digits, -1000, 1000))
-    balance = np.reshape([[1.0, 1.0 / unit], [unit, 1.0]], (2, 2) + (1,) * out.ndim)
-    r = np.repeat(out[:1] / unit, last // size + 1, axis=0)  # block starts
-    prod = coef[:, :, :last:size] * balance
-    for i in range(1, size):
-        prod *= np.exp2(-np.frexp(prod.max(axis=(0, 1)))[1])
-        step = coef[:, :, i:last:size] * balance
-        prod = step[:, :1] * prod[0] + step[:, 1:] * prod[1]
-    for j in range(last // size):
-        num, den = prod[:, 0, j] * r[j] + prod[:, 1, j]
-        r[j + 1] = num / den
+    size = 8 if n > 64 else max(n, 1)  # steps per block
+    blocks = max(-(-n // size), 1)
+    buf = np.empty((4, blocks) + out.shape[1:])
+    r, x = buf[0], buf[1:3]  # block starts; a step's numerators and denominators
+    r[0] = out[0]
+    if blocks > 1:
+        last = (blocks - 1) * size  # first step of the last block
+        beta, delta = float(coef[0, 1].max(initial=0.0)), float(coef[1, 1].max(initial=0.0))
+        digits = math.frexp(beta)[1] - math.frexp(delta)[1] if beta > 0 else 0
+        unit = math.ldexp(1.0, min(max(digits, -1000), 1000))
+        balance = np.reshape([[1.0, 1.0 / unit], [unit, 1.0]], (2, 2) + (1,) * out.ndim)
+        prod, tmp = out[1:last + 1].reshape((2, 2, 2, blocks - 1) + out.shape[1:])
+        step = buf[:, 1:].reshape(tmp.shape)  # spent before r[1:] and x are filled
+        np.multiply(coef[:, :, :last:size], balance, out=prod)
+        for i in range(1, size):
+            prod /= np.spacing(prod.max(axis=(0, 1)))  # 2^52 ulp(v) is a power of two <= v
+            np.multiply(coef[:, :, i:last:size], balance, out=step)
+            np.multiply(step[:, :1], prod[0], out=tmp)
+            np.multiply(step[0, 1], prod[1], out=prod[0])
+            prod[1] *= step[1, 1]
+            prod += tmp
+        r[0] /= unit
+        _lft_scan(prod, r)
+        r *= unit
     for i in range(size):
-        step = coef[:, :, i::size] * balance
-        num, den = step[:, 0] * r[:step.shape[2]] + step[:, 1]
-        r = np.divide(num, den, out=out[i + 1::size])
-    out[1:] *= unit
-    np.copyto(out, np.inf, where=np.isnan(out))
+        k = -(-(n - i) // size)  # blocks with an i-th step
+        np.multiply(coef[:, 0, i::size], r[:k], out=x[:, :k])
+        x[:, :k] += coef[:, 1, i::size]
+        r = np.divide(x[0, :k], x[1, :k], out=out[i + 1::size])
+    np.fmin(out, np.inf, out=out)  # NaN -> +inf
 
 
 def state_variance(params):

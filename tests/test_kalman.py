@@ -293,8 +293,9 @@ def _degenerate_params(rng, T):
 
 def test_scanned_schedules_match_the_oracles():
     """The scanned schedules against dense conditioning and, at any SNR, the
-    60-digit receiver recursion: horizons of one to four blocks, every kind
-    of degenerate step, P/N from 1e-2 to 1e10."""
+    60-digit receiver recursion: every kind of degenerate step, P/N from 1e-2
+    to 1e10.  Horizons up to 10 are one block of steps; 65 to 600 cross one
+    and two levels of block maps, against the 60-digit recursion only."""
     rng = np.random.default_rng(11)
     for case in range(40):
         T = int(rng.integers(2, 11))
@@ -316,6 +317,12 @@ def test_scanned_schedules_match_the_oracles():
             k_ref, mse_ref = decoder_reference(params, channel, xb_rows, Sigma)
             assert_allclose(ds.K, k_ref, rtol=1e-9, atol=1e-10)
             assert_allclose(ds.mse, mse_ref, rtol=1e-9, atol=1e-10)
+    for T in (9, 65, 66, 520, 521, 600):
+        params = _degenerate_params(rng, T)
+        N = rng.uniform(0.5, 2.0, T)
+        channel = ChannelParams.make(T, P=N * 10.0 ** rng.uniform(-2, 10, T), N=N)
+        ds = coupled_decoder_schedule(params, channel)
+        assert_allclose(ds.mse, decimal_receiver_mse(params, channel), rtol=1e-13, atol=0)
 
 
 def test_overflowing_schedule_reads_inf_not_nan():

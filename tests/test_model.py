@@ -1,4 +1,5 @@
 import dataclasses
+import decimal
 import warnings
 
 import numpy as np
@@ -16,7 +17,7 @@ from statecast import (
     state_variance,
 )
 from statecast import scheme
-from statecast.model import _BLOCK_ROWS
+from statecast.model import _BLOCK_ROWS, _lft_scan
 
 
 def test_state_variance_worked_example():
@@ -91,6 +92,53 @@ def test_make_extends_length_T_observation_arrays():
     # a length-T observation sequence is extended by repeating the last entry
     params = SystemParams.make(3, a=1.0, c=[1.0, 2.0, 3.0], d=0.0)
     assert_allclose(params.c, [1.0, 2.0, 3.0, 3.0])
+
+
+def _decimal_lft_iterates(coef, r0, digits=40):
+    """r(0) .. r(n) of r(i+1) = (alpha r(i) + beta) / (gamma r(i) + delta),
+    stepped one map at a time in ``digits``-digit decimal arithmetic; ``coef``
+    is (2, 2, n)."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = digits
+        D = decimal.Decimal
+        r, out = D(float(r0)), [float(r0)]
+        for alpha, beta, gamma, delta in coef.reshape(4, -1).T.tolist():
+            r = (D(alpha) * r + D(beta)) / (D(gamma) * r + D(delta))
+            out.append(float(r))
+    return np.array(out)
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 8, 9, 63, 64, 65, 511, 512, 513])
+def test_lft_scan_matches_a_decimal_loop(n):
+    # step counts on both sides of every block boundary, alone and as a batch
+    # of three columns; coefficients span 1e-6 .. 1e6, and about one step in
+    # ten is a constant map (alpha = gamma = 0) or has beta = 0
+    rng = np.random.default_rng(n)
+    for batch in ((), (3,)):
+        coef = 10.0 ** rng.uniform(-6.0, 6.0, (2, 2, n) + batch)
+        constant = rng.random((n,) + batch) < 0.1
+        coef[0, 0][constant] = coef[1, 0][constant] = 0.0
+        coef[0, 1][rng.random((n,) + batch) < 0.1] = 0.0
+        out = np.empty((n + 1,) + batch)
+        out[0] = 10.0 ** rng.uniform(-3.0, 3.0, batch)
+        _lft_scan(coef, out)
+        for k in np.ndindex(batch):
+            column = (slice(None),) * 3 + k
+            want = _decimal_lft_iterates(coef[column], out[(0,) + k])
+            assert_allclose(out[(slice(None),) + k], want, rtol=2e-15, atol=0)
+
+
+@pytest.mark.parametrize("n", [64, 600])
+def test_lft_scan_ignores_a_power_of_two_per_step(n):
+    # a step's map ignores a factor common to its four entries: powers of two
+    # up to 2^+-300 per step change no bit, where block products of 8 steps
+    # would leave double range unless rescaled
+    rng = np.random.default_rng(n)
+    coef = rng.uniform(0.1, 2.0, (2, 2, n))
+    out, scaled = np.ones((2, n + 1))
+    _lft_scan(coef, out)
+    _lft_scan(np.ldexp(coef, rng.integers(-300, 301, n)), scaled)
+    assert_array_equal(scaled, out)
 
 
 @pytest.mark.parametrize("length", [3, 4])  # T and T+1 entries at T=3

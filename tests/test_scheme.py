@@ -378,8 +378,9 @@ def test_batched_receiver_equals_single_channels_bit_for_bit(kind, params):
                          ids=["blocks", "blocks_wide", "one_block_wide"])
 def test_batch_equals_its_columns(T, K):
     # the scan's blocks depend on T alone, so a batch column runs its
-    # channel's arithmetic across blocks (14 at T = 200, 8 at T = 60) and in a
-    # single block (T = 3), however wide the batch
+    # channel's arithmetic across blocks (25 blocks of 8 at T = 200, their
+    # starts from a scan of the block maps) and in one block of steps (T = 60
+    # and T = 3), however wide the batch
     rng = np.random.default_rng(K)
     params = SystemParams.make(T, a=rng.uniform(0.5, 1.2, T), b=rng.uniform(0.0, 2.0, T),
                                c=1.1, d=0.5, V_vv=1.0, V_wv=0.3)
@@ -395,6 +396,12 @@ def test_batch_equals_its_columns(T, K):
         for name in ("K", "mse", "coef"):
             assert np.array_equal(getattr(sched, name)[..., k], getattr(one, name)), name
         assert np.array_equal(floor[:, k], mse_floor(NOISY, params, channel))
+
+
+def test_wide_batch_equals_its_columns_past_two_levels_of_blocks():
+    # at T = 600 the block starts come from a scan of 74 block maps, which is
+    # blocked again: a wide batch still runs each channel's arithmetic alone
+    test_batch_equals_its_columns(600, 64)
 
 
 @pytest.mark.parametrize("unit", [2.0 ** -600, 2.0 ** -400, 2.0 ** 300])
